@@ -202,6 +202,10 @@ class _Frame:
         self.pins = 0
 
 
+#: Registry label of each ``BufferPool.stats`` key.
+_EVENT_LABELS = {"hits": "hit", "misses": "miss", "evictions": "eviction"}
+
+
 class BufferPool:
     """Bounded resident set of parsed pages with pinning and LRU eviction.
 
@@ -234,7 +238,7 @@ class BufferPool:
         if _obs._ENABLED:
             from repro.obs.names import BUFFERPOOL_EVENTS
 
-            BUFFERPOOL_EVENTS.inc(n, event=event.rstrip("s"))
+            BUFFERPOOL_EVENTS.inc(n, event=_EVENT_LABELS[event])
 
     def _publish_resident(self) -> None:
         if _obs._ENABLED:

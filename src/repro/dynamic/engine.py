@@ -20,16 +20,16 @@ Answers stay exact: after any update sequence, every query equals the answer
 of a fresh engine rebuilt from the post-update dataset (with stable ids
 mapped through :meth:`snapshot`).
 
-Updates mutate shared state and therefore run under the engine lock, and
-the index-touching filtering paths (cold r-skyband computation, the
-traditional k-skyband) are serialized with them — an R-tree being condensed
-by a delete must never be traversed concurrently.  Warm serving (cache
-hits, containment clipping, refinement over an already-extracted skyband)
-runs outside the lock as before; a query racing an update may therefore
-still *serve* the pre-update answer (it was correct when the query
-arrived), but it can never poison the caches: every cache write captures
-the dataset generation at lookup time and is skipped when an update
-committed in between, so post-update queries always see repaired (or
+Updates mutate shared state and therefore run under the engine lock, which
+the base engine's index-touching paths (cold r-skyband filtering, the
+traditional k-skyband) also take — an R-tree being condensed by a delete
+must never be traversed concurrently.  Every batch makes the base engine's
+seqlock (``_update_seq``) odd before its first mutation and even again after
+its last sweep, both inside that lock.  Warm serving (cache hits,
+containment clipping, refinement over an already-extracted skyband) takes no
+engine lock; a query racing an update may therefore still *serve* the
+pre-update answer (it was correct when the query arrived), but the seqlock
+drops its cache writes, so post-update queries always see repaired (or
 recomputed) state.
 """
 
@@ -99,9 +99,7 @@ class DynamicUTKEngine(UTKEngine):
         cache_size: int = 128,
         parallel_workers: int = 0,
         parallel_min_candidates: int = 48,
-        store_factory=None,
     ):
-        self._store_factory = store_factory
         super().__init__(
             data,
             scoring=scoring,
@@ -117,25 +115,10 @@ class DynamicUTKEngine(UTKEngine):
         self.update_stats = UpdateStatistics()
 
     def _make_store(self, values) -> RecordStore:
-        """Store factory; the serve tier substitutes a shared-memory store and
-        ``store_factory=`` swaps in any other backend (e.g. a
-        :class:`~repro.colstore.store.ColumnarRecordStore` bound to a
-        directory).  The maintained R-tree stays in memory either way — only
-        the record bytes move to the backend."""
-        if self._store_factory is not None:
-            return self._store_factory(values)
+        """Store factory; the serve tier substitutes a shared-memory or
+        columnar store.  The maintained R-tree stays in memory either way —
+        only the record bytes move to the backend."""
         return RecordStore(values)
-
-    # ------------------------------------------------------------- filtering
-    def _skyband_for(self, region, k, signature):
-        """Cold filtering traverses the R-tree: serialize it with updates."""
-        with self._lock:
-            return super()._skyband_for(region, k, signature)
-
-    def k_skyband(self, k: int) -> np.ndarray:
-        """Traditional k-skyband (see base class); serialized with updates."""
-        with self._lock:
-            return super().k_skyband(k)
 
     # ----------------------------------------------------------------- views
     @property
@@ -185,9 +168,10 @@ class DynamicUTKEngine(UTKEngine):
         inserted_ids: list[int] = []
         with span("dynamic.apply_updates", updates=len(normalized)), self._lock:
             self._validate_batch(normalized)
-            # Any in-flight query that began against the pre-update state
+            # Odd before the first mutation, even only after the last sweep:
+            # an in-flight query that began against the pre-update state
             # must not write its (possibly stale) results into the caches.
-            self._generation += 1
+            self._update_seq += 1
             try:
                 for op, payload in normalized:
                     if op == OP_INSERT:
@@ -198,6 +182,7 @@ class DynamicUTKEngine(UTKEngine):
                         batch.deletes += 1
                     batch.updates_applied += 1
             finally:
+                self._update_seq += 1
                 # Even if an update fails unexpectedly mid-batch, the engine
                 # counters must reflect the prefix that was applied.
                 for field in dataclasses.fields(UpdateStatistics):
@@ -402,9 +387,10 @@ class DynamicUTKEngine(UTKEngine):
     def _commit_skybands(self, outcomes: dict, batch: UpdateStatistics) -> None:
         """Swap repaired skybands into the cache and tally the outcome kinds.
 
-        The swap is in place (:meth:`LRUCache.replace`): maintenance must
-        not record phantom cache hits or promote repaired entries over
-        genuinely recently-queried ones in the recency order.
+        The swap is in place (:meth:`StripedCache.replace`, which also
+        advances the stripe's epoch): maintenance must not record phantom
+        cache hits or promote repaired entries over genuinely
+        recently-queried ones in the recency order.
         """
         for key, (entry, outcome) in outcomes.items():
             if outcome.changed:

@@ -110,7 +110,7 @@ def run_batch(engine, queries, *, workers: int | None = None) -> list[BatchItem]
     queries can race to populate an entry.
     """
     specs = [as_batch_query(query) for query in queries]
-    with engine._lock:
+    with engine._stats_lock:
         engine.stats.batches += 1
         engine.stats.batch_queries += len(specs)
     _metric_names.BATCHES.inc()

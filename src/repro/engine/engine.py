@@ -15,8 +15,25 @@ a dataset once and serves many queries fast through three layers:
    filtering step.  Both reuses are exact — r-dominance relationships only
    grow as the region shrinks (the paper's progressiveness property), so a
    cached candidate/cell set is always a superset for a contained query.
-3. **LRU eviction** — every cache is bounded and evicts least-recently-used
-   entries, with hit/miss/eviction statistics for capacity planning.
+3. **LRU eviction** — every cache is a bounded
+   :class:`~repro.engine.cache.StripedCache` (one stripe here; the serving
+   tier splits it further) that evicts least-recently-used entries, with
+   hit/miss/eviction statistics for capacity planning.
+
+Concurrency follows one protocol.  Cache reads take no engine lock (a cache
+locks only the stripe it touches) and the counters sit under a small stats
+lock.  Only the paths that traverse the R-tree — cold r-skyband filtering
+and the traditional k-skyband — run under the engine lock, which the
+update-aware subclass also holds while it mutates the data.  One guard
+protects every cache write: a seqlock, ``_update_seq``, which an update
+makes odd before its first mutation and even again after its last cache
+sweep.  A query captures it before its first cache read and publishes each
+derived entry through :meth:`StripedCache.put_if`, which re-checks under the
+stripe lock that the value is still the same *even* number — so no update
+started or finished in between, and the entry was derived from current,
+fully swept state.  A query racing an update may still *serve* the
+pre-update answer (it was correct at some moment between its admission and
+completion) but can never poison a cache.
 
 Batch workloads fan out over a thread pool via :meth:`UTKEngine.run_batch`.
 """
@@ -39,7 +56,7 @@ from repro.core.rskyband import (
     RSkyband, _BRUTE_FORCE_LIMIT, compute_r_skyband, refilter_r_skyband
 )
 from repro.core.scoring import LinearScoring, ScoringFunction
-from repro.engine.cache import LRUCache, region_contains, region_signature
+from repro.engine.cache import StripedCache, region_contains, region_signature
 from repro.exceptions import InvalidQueryError
 from repro.index.rtree import RTree
 from repro.obs import runtime as _obs
@@ -154,14 +171,17 @@ class UTKEngine:
         ``k`` and the region size), so it doubles as the large-σ / large-k
         detector.
 
-    The engine is thread-safe: cache bookkeeping happens under a lock while
-    the algorithmic work runs outside it, so :meth:`run_batch` can fan
-    queries across a thread pool.  Concurrent identical queries may duplicate
-    work (last write wins) but never produce wrong answers.  The process
-    pool is shared across queries (and across batch threads), so concurrent
-    heavy queries queue their shards onto one bounded pool instead of
-    oversubscribing the machine.
+    The engine is thread-safe (see the module docstring for the protocol),
+    so :meth:`run_batch` can fan queries across a thread pool.  Concurrent
+    identical queries may duplicate work (last write wins) but never produce
+    wrong answers.  The process pool is shared across queries (and across
+    batch threads), so concurrent heavy queries queue their shards onto one
+    bounded pool instead of oversubscribing the machine.
     """
+
+    #: Lock stripes of each engine cache; the serving tier raises it per
+    #: instance before this constructor runs.
+    _cache_stripes = 1
 
     def __init__(
         self,
@@ -187,31 +207,20 @@ class UTKEngine:
         if self._tree is None and self._values.shape[0] > index_threshold:
             self._tree = RTree(self._values)
         self._lock = threading.RLock()
-        # Dataset generation: bumped by update-aware subclasses whenever the
-        # bound data changes.  Query paths capture it at cache-lookup time
-        # and skip their cache writes when it moved, so an answer computed
-        # from pre-update state is still returned (it was correct when the
-        # query arrived) but can never poison the caches.
-        self._generation = 0
-        self._skybands = self._make_cache("skyband", cache_size)
-        self._utk1_cache = self._make_cache("utk1", cache_size)
-        self._utk2_cache = self._make_cache("utk2", cache_size)
-        self._traditional_skybands = self._make_cache("k_skyband", cache_size)
+        self._stats_lock = threading.Lock()
+        self._update_seq = 0
+        stripes = self._cache_stripes
+        self._skybands = StripedCache(cache_size, stripes=stripes, name="skyband")
+        self._utk1_cache = StripedCache(cache_size, stripes=stripes, name="utk1")
+        self._utk2_cache = StripedCache(cache_size, stripes=stripes, name="utk2")
+        self._traditional_skybands = StripedCache(cache_size, stripes=stripes,
+                                                  name="k_skyband")
         self.stats = EngineStatistics()
         if parallel_workers < 0:
             raise InvalidQueryError("parallel_workers must be non-negative")
         self.parallel_workers = int(parallel_workers)
         self.parallel_min_candidates = int(parallel_min_candidates)
         self._pool = None
-
-    def _make_cache(self, name: str, size: int):
-        """Cache factory; subclasses substitute striped (or other) caches.
-
-        Must return an object with the :class:`LRUCache` bookkeeping API
-        (``get``/``put``/``touch``/``replace``/``scan``/``evict_where``/
-        ``clear``/``stats`` plus the hit/miss/eviction counters).
-        """
-        return LRUCache(size, name=name)
 
     # ------------------------------------------------------------------ basic
     @property
@@ -256,85 +265,60 @@ class UTKEngine:
     def serve_utk1(self, region: Region, k: int) -> tuple[UTK1Result, str]:
         """Answer a UTK1 query and report which reuse path served it."""
         if not _obs._ENABLED:
-            return self._serve_utk1(region, k)
-        return self._serve_observed("utk1", self._serve_utk1, region, k)
+            return self._serve("utk1", region, k)
+        return self._serve_observed("utk1", region, k)
 
     def serve_utk2(self, region: Region, k: int) -> tuple[UTK2Result, str]:
         """Answer a UTK2 query and report which reuse path served it."""
         if not _obs._ENABLED:
-            return self._serve_utk2(region, k)
-        return self._serve_observed("utk2", self._serve_utk2, region, k)
+            return self._serve("utk2", region, k)
+        return self._serve_observed("utk2", region, k)
 
-    def _serve_observed(self, version: str, serve, region: Region, k: int):
+    def _serve_observed(self, version: str, region: Region, k: int):
         """Serve one query under a span, publishing latency and source."""
         started = time.perf_counter()
         with span(f"engine.{version}", k=int(k)) as scope:
-            result, source = serve(region, k)
+            result, source = self._serve(version, region, k)
             scope.set(source=source)
         _metric_names.QUERIES.inc(version=version, source=source)
         _metric_names.QUERY_SECONDS.observe(time.perf_counter() - started, version=version)
         return result, source
 
-    def _serve_utk1(self, region: Region, k: int) -> tuple[UTK1Result, str]:
-        self._check_region(region)
-        if k <= 0:
-            raise InvalidQueryError("k must be positive")
-        k = int(k)
-        signature = region_signature(region)
-        key = (signature, k)
-        with self._lock:
-            generation = self._generation
-            self.stats.utk1_queries += 1
-            entry = self._utk1_cache.get(key)
-            if entry is not None:
-                self.stats.result_hits += 1
-                return entry.result, SOURCE_RESULT_HIT
-            donor = self._find_containing(self._utk2_cache, region, k)
-        if donor is not None:
-            result = clip_partitioning(donor.result, region).to_utk1()
-            with self._lock:
-                self.stats.containment_hits += 1
-                self._put_current(self._utk1_cache, key, _ResultEntry(region, k, result),
-                                  generation)
-            return result, SOURCE_CONTAINMENT
-        skyband, source = self._skyband_for(region, k, signature)
-        if self._route_parallel(skyband):
-            result = self._run_parallel(region, k, skyband, "rsa")
-        else:
-            result = RSA(self._values, region, k, skyband=skyband).run()
-        with self._lock:
-            self._put_current(self._utk1_cache, key, _ResultEntry(region, k, result), generation)
-        return result, source
+    def _serve(self, version: str, region: Region, k: int):
+        """Answer one ``"utk1"`` or ``"utk2"`` query through the reuse ladder.
 
-    def _serve_utk2(self, region: Region, k: int) -> tuple[UTK2Result, str]:
+        A result hit, then clipping a cached containing UTK2 partitioning,
+        then refinement (RSA or JAA) over a reused or fresh r-skyband.
+        """
         self._check_region(region)
         if k <= 0:
             raise InvalidQueryError("k must be positive")
         k = int(k)
         signature = region_signature(region)
         key = (signature, k)
-        with self._lock:
-            generation = self._generation
-            self.stats.utk2_queries += 1
-            entry = self._utk2_cache.get(key)
-            if entry is not None:
-                self.stats.result_hits += 1
-                return entry.result, SOURCE_RESULT_HIT
-            donor = self._find_containing(self._utk2_cache, region, k)
+        cache = self._utk1_cache if version == "utk1" else self._utk2_cache
+        seq = self._update_seq
+        self._count(f"{version}_queries")
+        entry = cache.get(key)
+        if entry is not None:
+            self._count("result_hits")
+            return entry.result, SOURCE_RESULT_HIT
+        donor = self._find_containing(self._utk2_cache, region, k)
         if donor is not None:
             result = clip_partitioning(donor.result, region)
-            with self._lock:
-                self.stats.containment_hits += 1
-                self._put_current(self._utk2_cache, key, _ResultEntry(region, k, result),
-                                  generation)
-            return result, SOURCE_CONTAINMENT
-        skyband, source = self._skyband_for(region, k, signature)
-        if self._route_parallel(skyband):
-            result = self._run_parallel(region, k, skyband, "jaa")
+            if version == "utk1":
+                result = result.to_utk1()
+            self._count("containment_hits")
+            source = SOURCE_CONTAINMENT
         else:
-            result = JAA(self._values, region, k, skyband=skyband).run()
-        with self._lock:
-            self._put_current(self._utk2_cache, key, _ResultEntry(region, k, result), generation)
+            skyband, source = self._skyband_for(region, k, signature)
+            algorithm = "rsa" if version == "utk1" else "jaa"
+            if self._route_parallel(skyband):
+                result = self._run_parallel(region, k, skyband, algorithm)
+            else:
+                solver = RSA if version == "utk1" else JAA
+                result = solver(self._values, region, k, skyband=skyband).run()
+        self._guarded_put(cache, key, _ResultEntry(region, k, result), seq)
         return result, source
 
     def k_skyband(self, k: int) -> np.ndarray:
@@ -347,15 +331,15 @@ class UTKEngine:
         if k <= 0:
             raise InvalidQueryError("k must be positive")
         key = int(k)
-        with self._lock:
-            generation = self._generation
-            cached = self._traditional_skybands.get(key)
-            if cached is not None:
-                return cached
+        cached = self._traditional_skybands.get(key)
+        if cached is not None:
+            return cached
         from repro.skyline.skyband import k_skyband as traditional_k_skyband
-        result = traditional_k_skyband(self._values, key, tree=self._tree)
-        with self._lock:
-            self._put_current(self._traditional_skybands, key, result, generation)
+
+        with self._lock:  # the traversal must not overlap an update
+            seq = self._update_seq
+            result = traditional_k_skyband(self._values, key, tree=self._tree)
+        self._guarded_put(self._traditional_skybands, key, result, seq)
         return result
 
     # ------------------------------------------------------------- parallel
@@ -385,8 +369,7 @@ class UTKEngine:
             skyband=skyband,
             pool=self._ensure_pool(),
         )
-        with self._lock:
-            self.stats.parallel_queries += 1
+        self._count("parallel_queries")
         _metric_names.PARALLEL_QUERIES.inc()
         return first if algorithm == "rsa" else second
 
@@ -404,42 +387,47 @@ class UTKEngine:
         self.close()
 
     # ------------------------------------------------------------- filtering
-    def _put_current(self, cache: LRUCache, key, value, generation: int) -> None:
-        """Cache ``value`` unless the dataset changed while it was computed.
+    @property
+    def update_seq(self) -> int:
+        """The seqlock value: odd while an update is mutating/sweeping."""
+        return self._update_seq
 
-        Must be called under the engine lock.  A stale write would otherwise
-        survive the update's eviction sweep and be served as a "hit" forever.
-        """
-        if generation == self._generation:
-            cache.put(key, value)
+    def _count(self, counter: str) -> None:
+        with self._stats_lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def _guarded_put(self, cache: StripedCache, key, value, seq: int) -> bool:
+        """Publish a derived entry unless an update overlapped its derivation."""
+        if seq & 1:  # captured mid-update: the inputs may be half-swept
+            return False
+        return cache.put_if(key, value, lambda: self._update_seq == seq)
 
     def _skyband_for(self, region: Region, k: int,
                      signature: str) -> tuple[RSkyband, str]:
         """The r-skyband for a query, reusing cached filterings when possible."""
         key = (signature, k)
-        with self._lock:
-            generation = self._generation
-            entry = self._skybands.get(key)
-            if entry is not None:
-                self.stats.skyband_hits += 1
-                return entry.skyband, SOURCE_SKYBAND_HIT
-            donor = self._find_containing(self._skybands, region, k, allow_larger_k=True)
+        seq = self._update_seq
+        entry = self._skybands.get(key)
+        if entry is not None:
+            self._count("skyband_hits")
+            return entry.skyband, SOURCE_SKYBAND_HIT
+        donor = self._find_containing(self._skybands, region, k, allow_larger_k=True)
         if donor is not None:
             skyband = refilter_r_skyband(donor.skyband, region, k)
-            with self._lock:
-                self.stats.skyband_containment_hits += 1
-                self._put_current(self._skybands, key, _SkybandEntry(region, k, skyband),
-                                  generation)
-            return skyband, SOURCE_SKYBAND_CONTAINMENT
-        skyband = compute_r_skyband(self._values, region, k, tree=self._tree)
-        _metric_names.SKYBAND_SIZE.observe(skyband.size)
-        with self._lock:
-            self.stats.cold_queries += 1
-            self._put_current(self._skybands, key, _SkybandEntry(region, k, skyband), generation)
-        return skyband, SOURCE_COLD
+            self._count("skyband_containment_hits")
+            source = SOURCE_SKYBAND_CONTAINMENT
+        else:
+            with self._lock:  # cold filtering traverses the R-tree
+                seq = self._update_seq  # even: updates hold the same lock
+                skyband = compute_r_skyband(self._values, region, k, tree=self._tree)
+            _metric_names.SKYBAND_SIZE.observe(skyband.size)
+            self._count("cold_queries")
+            source = SOURCE_COLD
+        self._guarded_put(self._skybands, key, _SkybandEntry(region, k, skyband), seq)
+        return skyband, source
 
     def _find_containing(
-        self, cache: LRUCache, region: Region, k: int, *, allow_larger_k: bool = False
+        self, cache: StripedCache, region: Region, k: int, *, allow_larger_k: bool = False
     ):
         """Most recent cache entry whose region contains ``region``.
 
@@ -466,18 +454,17 @@ class UTKEngine:
 
     # ------------------------------------------------------------------ stats
     def cache_stats(self) -> dict:
-        """Size/hit/miss/eviction counters of the three LRU caches."""
-        with self._lock:
-            return {
-                "skyband": self._skybands.stats(),
-                "utk1": self._utk1_cache.stats(),
-                "utk2": self._utk2_cache.stats(),
-                "k_skyband": self._traditional_skybands.stats(),
-            }
+        """Size/hit/miss/eviction counters of the four engine caches."""
+        return {
+            "skyband": self._skybands.stats(),
+            "utk1": self._utk1_cache.stats(),
+            "utk2": self._utk2_cache.stats(),
+            "k_skyband": self._traditional_skybands.stats(),
+        }
 
     def statistics(self) -> dict:
         """Engine counters plus per-cache statistics, as one plain dict."""
-        with self._lock:
+        with self._stats_lock:
             merged = {"engine": self.stats.as_dict()}
         merged.update(self.cache_stats())
         return merged

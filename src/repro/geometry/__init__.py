@@ -2,8 +2,7 @@
 
 The subpackage provides a linear-programming toolkit over H-polytopes
 (:mod:`repro.geometry.linear_programming`), incremental V-representation
-maintenance for arrangement cells (:mod:`repro.geometry.vertex_clip`),
-geometry telemetry counters (:mod:`repro.geometry.telemetry`), exact
+maintenance for arrangement cells (:mod:`repro.geometry.vertex_clip`), exact
 one-dimensional interval helpers (:mod:`repro.geometry.interval`),
 convex-hull utilities (:mod:`repro.geometry.convex_hull`) and onion-layer
 computation (:mod:`repro.geometry.onion`).

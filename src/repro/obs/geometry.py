@@ -28,10 +28,6 @@ make meaningful, and the per-query deltas feed the always-available
 ``--stats`` output.  When observability *is* enabled, RSA/JAA publish each
 run's delta into :data:`repro.obs.names.GEOMETRY_CALLS`, folding this
 telemetry into the registry schema.
-
-This module absorbed ``repro.geometry.telemetry``; that path remains as a
-compatibility shim re-exporting :class:`GeometryCounters` and
-:data:`COUNTERS`.
 """
 
 from __future__ import annotations

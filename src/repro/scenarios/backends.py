@@ -234,9 +234,6 @@ class DynamicBackend:
 
         return DynamicUTKEngine(data)
 
-    def _cleanup(self) -> None:
-        """Release backend resources after the engine closed (hook)."""
-
     def run(self, data: Dataset, events: list[dict]) -> CellOutcome:
         from repro.dynamic import serve_events
 
@@ -263,7 +260,6 @@ class DynamicBackend:
             outcome.stats = engine.statistics()
         finally:
             engine.close()
-            self._cleanup()
         return outcome
 
 
@@ -272,35 +268,19 @@ class ColstoreBackend(DynamicBackend):
     """The dynamic engine over memory-mapped columnar storage.
 
     Identical event semantics to ``dynamic`` — only the record bytes move
-    from RAM into a :class:`~repro.colstore.store.ColumnarRecordStore` under
-    a per-cell temp directory — so the SQL oracle checks that the storage
-    backend swap changes no answer.
+    from RAM into a :class:`~repro.colstore.store.ColumnarRecordStore` in a
+    temp directory the engine removes on close — so the SQL oracle checks
+    that the storage backend swap changes no answer.  One stripe keeps the
+    caches one LRU, as in the ``dynamic`` cell.
     """
 
     name = "colstore"
-    description = "DynamicUTKEngine over a ColumnarRecordStore (mmap column files)"
+    description = "ServeEngine over a ColumnarRecordStore (mmap column files), one stripe"
 
     def _make_engine(self, data: Dataset):
-        import tempfile
+        from repro.serve import ServeEngine
 
-        from repro.colstore.store import ColumnarRecordStore
-        from repro.dynamic import DynamicUTKEngine
-
-        self._tempdir = tempfile.mkdtemp(prefix="repro-matrix-colstore-")
-        return DynamicUTKEngine(
-            data,
-            store_factory=lambda values: ColumnarRecordStore(
-                values, directory=self._tempdir
-            ),
-        )
-
-    def _cleanup(self) -> None:
-        import shutil
-
-        tempdir = getattr(self, "_tempdir", None)
-        if tempdir is not None:
-            self._tempdir = None
-            shutil.rmtree(tempdir, ignore_errors=True)
+        return ServeEngine(data, store_backend="colstore", stripes=1)
 
 
 @register_backend

@@ -8,6 +8,7 @@ update clients over it.  See the README's "Serving" section for the
 protocol and knobs.
 """
 
+from repro.engine.cache import DEFAULT_STRIPES, StripedCache, stripe_index
 from repro.serve.engine import ServeEngine
 from repro.serve.packed import PackedRTree
 from repro.serve.shm import (
@@ -17,7 +18,6 @@ from repro.serve.shm import (
     attach_arrays,
     pack_arrays,
 )
-from repro.serve.stripes import DEFAULT_STRIPES, StripedCache, stripe_index
 
 __all__ = [
     "AttachedSegment",

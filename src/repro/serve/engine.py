@@ -1,63 +1,35 @@
-"""The serving-tier engine: striped caches, seqlock writes, shared buffers.
+"""The serving-tier engine: shared record buffers and striped caches.
 
 :class:`ServeEngine` is a :class:`~repro.dynamic.engine.DynamicUTKEngine`
-re-plumbed for concurrent traffic:
+re-plumbed for concurrent traffic.  The query path, the update path and the
+seqlock that keeps cache writes exact across them are the base engines';
+this class adds only three things:
 
-* the four engine caches are :class:`~repro.serve.stripes.StripedCache`
-  instances, so warm queries touching different region-hash stripes never
-  contend and an update's maintenance sweep blocks one stripe at a time;
-* the dataset lives in a :class:`~repro.serve.shm.SharedRecordStore`, and
-  :meth:`shared_descriptor` publishes it (plus a lazily re-packed R-tree)
-  so query workers attach zero-copy instead of rebuilding;
-* the engine-wide generation guard on cache writes is replaced by a
-  **seqlock**: ``_update_seq`` is bumped to an odd value before an update
-  mutates anything and back to even after its last sweep finished.  Warm
-  queries capture the sequence before their first cache read and publish
-  derived entries through :meth:`StripedCache.put_if`, which atomically
-  re-checks (under the stripe lock) that the sequence is still the same
-  *even* value.  That proves no update started or finished in between, so
-  every published entry was derived from current, fully-swept state — the
-  same exactness the old global counter gave, without warm queries ever
-  taking the engine lock.
+* the record store backends: the dataset lives in a
+  :class:`~repro.serve.shm.SharedRecordStore` (or, with
+  ``store_backend="colstore"``, in memory-mapped column files);
+* the stripe count of the four engine caches
+  (:class:`~repro.engine.cache.StripedCache`), so warm queries touching
+  different region-hash stripes never contend and an update's maintenance
+  sweep blocks one stripe at a time;
+* the descriptors: :meth:`shared_descriptor` publishes the record buffer
+  (plus a lazily re-packed R-tree) so query workers attach zero-copy
+  instead of rebuilding, and :meth:`shm_segment_names` lists the segments
+  for crash cleanup.
 
-Correctness of a racing query is unchanged from the dynamic engine: a query
-overlapping an update may *serve* the pre-update answer (it was correct at
-some moment between the query's admission and completion — the window the
-soak checker verifies) but can never poison the caches.
-
-Only the structural paths still serialize on the engine lock: updates
-(store/tree mutation plus sweeps) and cold filterings (R-tree traversal
-during a condense is never safe).  Per-stripe epochs remain as observable
-state — every sweep that changed a stripe advances its epoch, exported via
-:meth:`statistics` and the ``repro_stripe_epoch`` gauge.
+Per-stripe epochs are observable state: every sweep that changed a stripe
+advances its epoch, exported via :meth:`statistics` and the
+``repro_stripe_epoch`` gauge.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from repro.core.jaa import JAA
-from repro.core.region import Region
-from repro.core.rsa import RSA
-from repro.core.rskyband import compute_r_skyband, refilter_r_skyband
 from repro.dynamic.engine import DynamicUTKEngine
-from repro.engine.engine import (
-    SOURCE_COLD,
-    SOURCE_CONTAINMENT,
-    SOURCE_RESULT_HIT,
-    SOURCE_SKYBAND_CONTAINMENT,
-    SOURCE_SKYBAND_HIT,
-    _ResultEntry,
-    _SkybandEntry,
-    clip_partitioning,
-)
-from repro.engine.cache import region_signature
+from repro.engine.cache import DEFAULT_STRIPES
 from repro.exceptions import InvalidQueryError
-from repro.obs import names as _metric_names
 from repro.serve.shm import SharedRecordStore, pack_arrays
-from repro.serve.stripes import DEFAULT_STRIPES, StripedCache
 
 #: Cache names in the order :meth:`ServeEngine.stripe_epochs` reports them.
 CACHE_NAMES = ("skyband", "utk1", "utk2", "k_skyband")
@@ -70,7 +42,7 @@ class ServeEngine(DynamicUTKEngine):
 
     stripes:
         Stripe count of each engine cache (see
-        :data:`~repro.serve.stripes.DEFAULT_STRIPES` and the CONTRIBUTING
+        :data:`~repro.engine.cache.DEFAULT_STRIPES` and the CONTRIBUTING
         notes on tuning).
     store_backend:
         ``"shm"`` (default) keeps records in shared-memory segments and
@@ -99,14 +71,12 @@ class ServeEngine(DynamicUTKEngine):
             raise InvalidQueryError(
                 f"unknown store backend {store_backend!r} (shm|colstore)"
             )
-        # Consumed by _make_cache/_make_store during super().__init__.
+        # Consumed by the cache construction and _make_store during
+        # super().__init__.
         self._cache_stripes = int(stripes)
         self._store_backend = store_backend
         self._store_dir = store_dir
         self._store_tempdir = None
-        self._stats_lock = threading.Lock()
-        self._writer_lock = threading.Lock()
-        self._update_seq = 0
         self._packed_segment = None
         self._packed_path = None
         self._packed_manifest: dict | None = None
@@ -120,9 +90,6 @@ class ServeEngine(DynamicUTKEngine):
         )
 
     # ----------------------------------------------------------- construction
-    def _make_cache(self, name: str, size: int) -> StripedCache:
-        return StripedCache(size, stripes=self._cache_stripes, name=name)
-
     def _make_store(self, values):
         if self._store_backend == "colstore":
             import tempfile
@@ -135,180 +102,33 @@ class ServeEngine(DynamicUTKEngine):
             return ColumnarRecordStore(values, directory=self._store_dir)
         return SharedRecordStore(values)
 
-    # ---------------------------------------------------------------- seqlock
-    @property
-    def update_seq(self) -> int:
-        """The seqlock value: odd while an update is mutating/sweeping."""
-        return self._update_seq
-
-    def _capture_seq(self) -> int:
-        return self._update_seq
-
-    def _guarded_put(self, cache: StripedCache, key, value, seq: int) -> bool:
-        """Publish a derived entry unless an update overlapped its derivation."""
-        if seq & 1:  # captured mid-update: the inputs may be half-swept
-            return False
-        return cache.put_if(key, value, lambda: self._update_seq == seq)
-
-    def apply_updates(self, updates) -> dict:
-        with self._writer_lock:
-            # Odd before the first mutation, even only after the last sweep:
-            # the invariant every guarded put checks against.
-            self._update_seq += 1
-            try:
-                return super().apply_updates(updates)
-            finally:
-                self._update_seq += 1
-
-    # ---------------------------------------------------------------- serving
-    # The overrides below mirror the base implementations with two changes:
-    # statistics move under a dedicated micro-lock and every cache write goes
-    # through the seqlock guard, so warm queries never touch self._lock.
-
-    def _serve_utk1(self, region: Region, k: int):
-        self._check_region(region)
-        if k <= 0:
-            raise InvalidQueryError("k must be positive")
-        k = int(k)
-        signature = region_signature(region)
-        key = (signature, k)
-        seq = self._capture_seq()
-        with self._stats_lock:
-            self.stats.utk1_queries += 1
-        entry = self._utk1_cache.get(key)
-        if entry is not None:
-            with self._stats_lock:
-                self.stats.result_hits += 1
-            return entry.result, SOURCE_RESULT_HIT
-        donor = self._find_containing(self._utk2_cache, region, k)
-        if donor is not None:
-            result = clip_partitioning(donor.result, region).to_utk1()
-            with self._stats_lock:
-                self.stats.containment_hits += 1
-            self._guarded_put(self._utk1_cache, key, _ResultEntry(region, k, result), seq)
-            return result, SOURCE_CONTAINMENT
-        skyband, source = self._skyband_for(region, k, signature)
-        values = self._values  # pin one buffer generation for the refinement
-        if self._route_parallel(skyband):
-            result = self._run_parallel(region, k, skyband, "rsa")
-        else:
-            result = RSA(values, region, k, skyband=skyband).run()
-        self._guarded_put(self._utk1_cache, key, _ResultEntry(region, k, result), seq)
-        return result, source
-
-    def _serve_utk2(self, region: Region, k: int):
-        self._check_region(region)
-        if k <= 0:
-            raise InvalidQueryError("k must be positive")
-        k = int(k)
-        signature = region_signature(region)
-        key = (signature, k)
-        seq = self._capture_seq()
-        with self._stats_lock:
-            self.stats.utk2_queries += 1
-        entry = self._utk2_cache.get(key)
-        if entry is not None:
-            with self._stats_lock:
-                self.stats.result_hits += 1
-            return entry.result, SOURCE_RESULT_HIT
-        donor = self._find_containing(self._utk2_cache, region, k)
-        if donor is not None:
-            result = clip_partitioning(donor.result, region)
-            with self._stats_lock:
-                self.stats.containment_hits += 1
-            self._guarded_put(self._utk2_cache, key, _ResultEntry(region, k, result), seq)
-            return result, SOURCE_CONTAINMENT
-        skyband, source = self._skyband_for(region, k, signature)
-        values = self._values
-        if self._route_parallel(skyband):
-            result = self._run_parallel(region, k, skyband, "jaa")
-        else:
-            result = JAA(values, region, k, skyband=skyband).run()
-        self._guarded_put(self._utk2_cache, key, _ResultEntry(region, k, result), seq)
-        return result, source
-
-    def _skyband_for(self, region: Region, k: int, signature: str):
-        key = (signature, k)
-        seq = self._capture_seq()
-        entry = self._skybands.get(key)
-        if entry is not None:
-            with self._stats_lock:
-                self.stats.skyband_hits += 1
-            return entry.skyband, SOURCE_SKYBAND_HIT
-        donor = self._find_containing(self._skybands, region, k, allow_larger_k=True)
-        if donor is not None:
-            skyband = refilter_r_skyband(donor.skyband, region, k)
-            with self._stats_lock:
-                self.stats.skyband_containment_hits += 1
-            self._guarded_put(self._skybands, key, _SkybandEntry(region, k, skyband), seq)
-            return skyband, SOURCE_SKYBAND_CONTAINMENT
-        with self._lock:  # cold filtering traverses the R-tree
-            seq = self._capture_seq()  # even: updates hold the same lock
-            skyband = compute_r_skyband(self._values, region, k, tree=self._tree)
-        _metric_names.SKYBAND_SIZE.observe(skyband.size)
-        with self._stats_lock:
-            self.stats.cold_queries += 1
-        self._guarded_put(self._skybands, key, _SkybandEntry(region, k, skyband), seq)
-        return skyband, SOURCE_COLD
-
-    def k_skyband(self, k: int) -> np.ndarray:
-        if k <= 0:
-            raise InvalidQueryError("k must be positive")
-        key = int(k)
-        cached = self._traditional_skybands.get(key)
-        if cached is not None:
-            return cached
-        from repro.skyline.skyband import k_skyband as traditional_k_skyband
-
-        with self._lock:
-            seq = self._capture_seq()
-            result = traditional_k_skyband(self._values, key, tree=self._tree)
-        self._guarded_put(self._traditional_skybands, key, result, seq)
-        return result
-
-    # ------------------------------------------------------------ maintenance
-    def _commit_skybands(self, outcomes: dict, batch) -> None:
-        """As the base, plus epoch bumps for stripes holding repaired entries.
-
-        ``evict_where`` already advances the epoch of stripes it changed;
-        in-place repairs go through ``replace`` (no epoch side effect), so
-        the sweep accounts for them here — the per-stripe epoch is the
-        complete "this update touched your stripe" signal.
-        """
-        super()._commit_skybands(outcomes, batch)
-        touched = {
-            self._skybands.stripe_of(key)
-            for key, (_entry, outcome) in outcomes.items()
-            if outcome.changed
-        }
-        for index in touched:
-            self._skybands.bump_epoch(index)
-
     # --------------------------------------------------------- shared dataset
     def shared_descriptor(self) -> dict:
         """Attachment descriptor for zero-copy query workers.
 
         Packs the R-tree into a fresh shared segment when (and only when)
-        the dataset generation moved since the last pack; the record buffer
+        an update batch ran since the last pack; the record buffer
         is already shared.  The previous pack's segment is unlinked — late
         workers holding its mapping finish fine, new attachments of a stale
         descriptor fail with :class:`FileNotFoundError` and retry with a
         fresh descriptor (see :func:`repro.serve.workers.worker_query`).
         """
         with self._lock:
-            if self._packed_manifest is None or self._packed_generation != self._generation:
+            # Even here: an update holds the engine lock while it is odd.
+            generation = self._update_seq
+            if self._packed_manifest is None or self._packed_generation != generation:
                 flat = self._tree.flatten()
                 if self._store_backend == "colstore":
                     from pathlib import Path
 
                     from repro.colstore.pages import META_SUFFIX, write_pages
 
-                    path = Path(self._store_dir) / f"rtree.g{self._generation}.pages"
+                    path = Path(self._store_dir) / f"rtree.g{generation}.pages"
                     meta = write_pages(path, flat)
                     previous_path = self._packed_path
                     self._packed_path = path
                     self._packed_manifest = {"path": str(path), "meta": meta}
-                    self._packed_generation = self._generation
+                    self._packed_generation = generation
                     if previous_path is not None and previous_path != path:
                         for stale in (previous_path,
                                       Path(str(previous_path) + META_SUFFIX)):
@@ -326,7 +146,7 @@ class ServeEngine(DynamicUTKEngine):
                     previous = self._packed_segment
                     self._packed_segment = segment
                     self._packed_manifest = manifest
-                    self._packed_generation = self._generation
+                    self._packed_generation = generation
                     if previous is not None:
                         previous.close()
             descriptor = {

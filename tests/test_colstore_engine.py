@@ -8,15 +8,18 @@ the scenario-matrix colstore backend, and the ``repro build`` /
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.colstore.attach import attach_engine_inputs
 from repro.core.api import make_engine
 from repro.core.region import hyperrectangle
 from repro.core.scoring import PowerScoring
 from repro.datasets.synthetic import synthetic_dataset
+from repro.engine import UTKEngine
 from repro.exceptions import InvalidQueryError, StorageError
 from repro.scenarios import BACKENDS, SCENARIOS
 from repro.serve.engine import ServeEngine
@@ -64,6 +67,32 @@ class TestMakeEngine:
     def test_unknown_store_is_rejected(self, data):
         with pytest.raises(InvalidQueryError, match="store"):
             make_engine(data, store="rocksdb")
+
+
+class TestThreadedBatch:
+    def test_threads_share_the_buffer_pool_safely(self, tmp_path):
+        """Cold filterings of a threaded batch all page through one
+        unlocked buffer pool; the engine lock must serialize them.  A tiny
+        pool and a tiny switch interval make an unserialized traversal
+        corrupt the pool (KeyError, broken stats) in most rounds."""
+        data = synthetic_dataset("IND", 5000, 3, seed=8)
+        values, tree = attach_engine_inputs(data, tmp_path, pool_pages=4)
+        rng = np.random.default_rng(8)
+        lowers = rng.uniform(0.05, 0.45, size=(40, 2))
+        queries = [(hyperrectangle(lower, lower + 0.02), 3) for lower in lowers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # Each round is a fresh engine, so every query filters cold.
+            rounds = [UTKEngine(values, tree=tree).run_batch(queries, workers=4)
+                      for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [item.utk1.indices for item in UTKEngine(data).run_batch(queries)]
+        for threaded in rounds:
+            assert [item.utk1.indices for item in threaded] == expected
+        pool = tree.pool
+        assert pool.resident() == pool.stats["misses"] - pool.stats["evictions"]
 
 
 class TestServeColstore:

@@ -281,17 +281,6 @@ class TestDynamicEngine:
         refreshed = engine.k_skyband(2)
         assert engine.store.high_water - 1 in refreshed
 
-    def test_stale_cache_write_after_update_is_dropped(self):
-        # A query that started before an update must not populate the caches
-        # afterwards: _put_current drops writes whose generation moved.
-        engine = DynamicUTKEngine(np.random.default_rng(20).random((40, 3)))
-        generation = engine._generation
-        engine.insert(np.full(3, 0.5))
-        engine._put_current(engine._utk1_cache, ("stale", 1), object(), generation)
-        assert ("stale", 1) not in engine._utk1_cache
-        engine._put_current(engine._utk1_cache, ("fresh", 1), object(), engine._generation)
-        assert ("fresh", 1) in engine._utk1_cache
-
     def test_maintenance_does_not_inflate_cache_hit_statistics(self):
         data = synthetic_dataset("IND", 200, 3, seed=21)
         engine = DynamicUTKEngine(data)

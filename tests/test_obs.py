@@ -246,6 +246,20 @@ class TestInstrumentedSubsystems:
         assert events.value(cache="probe", event="eviction") == 1
         assert cache.stats()["hits"] == 1
 
+    def test_buffer_pool_publishes_event_labels(self, tmp_path):
+        from repro.colstore.pages import PagedRTree, write_pages
+
+        values = np.random.default_rng(4).random((300, 3))
+        write_pages(tmp_path / "t.pages", RTree(values, max_entries=8).flatten(), fanout=8)
+        paged = PagedRTree(tmp_path / "t.pages", values, pool_pages=2)
+        runtime.enable()
+        for page in (0, 1, 0, 2):  # miss, miss, hit, miss + eviction
+            paged.pool.get(page)
+        samples = metric_names.BUFFERPOOL_EVENTS.samples()
+        assert {sample["labels"]["event"]: sample["value"] for sample in samples} == {
+            "hit": 1, "miss": 3, "eviction": 1,
+        }
+
     def test_anonymous_cache_stays_local(self):
         runtime.enable()
         cache = LRUCache(2)

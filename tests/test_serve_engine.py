@@ -4,7 +4,8 @@ Equivalence suite for the serving-tier engine against its parent
 :class:`~repro.dynamic.engine.DynamicUTKEngine`: identical answers on a
 churn stream, identical packed-tree traversals, identical worker answers
 through the shared-memory descriptor, and the seqlock write-guard semantics
-(odd sequence and overlapping updates both veto a cache publish).
+(odd sequence and overlapping updates both veto a cache publish) on both
+update-aware engines, which share the one guarded query path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from repro.core.region import hyperrectangle
 from repro.core.rskyband import compute_r_skyband
 from repro.datasets.synthetic import synthetic_dataset, update_stream
 from repro.dynamic.engine import DynamicUTKEngine, serve_events
+from repro.engine.cache import StripedCache
 from repro.index.rtree import RTree
 from repro.serve.engine import CACHE_NAMES, ServeEngine
 from repro.serve.packed import PackedRTree
-from repro.serve.stripes import StripedCache
 from repro.serve.workers import reset_worker_state, worker_query
 
 
@@ -168,35 +169,36 @@ class TestSharedDescriptor:
 
 
 class TestSeqlockGuard:
-    def test_update_seq_is_even_outside_updates(self, data):
-        engine = ServeEngine(data)
-        try:
-            assert engine.update_seq == 0
-            engine.apply_updates([{"op": "insert", "values": [1.0, 1.0, 1.0]}])
-            assert engine.update_seq == 2
-            engine.apply_updates([("delete", 0)])
-            assert engine.update_seq == 4
-        finally:
-            engine.close()
+    @pytest.fixture(params=[DynamicUTKEngine, ServeEngine], ids=["dynamic", "serve"])
+    def engine(self, request, data):
+        engine = request.param(data)
+        yield engine
+        engine.close()
 
-    def test_guarded_put_rejects_odd_and_moved_sequences(self, data):
-        engine = ServeEngine(data)
-        try:
-            cache = engine._utk1_cache
-            # Captured mid-update (odd): never published.
-            assert not engine._guarded_put(cache, "key", "value", 1)
-            assert "key" not in cache
-            # Captured before an update that then completed: rejected too.
-            seq = engine._capture_seq()
-            engine.apply_updates([{"op": "insert", "values": [2.0, 2.0, 2.0]}])
-            assert not engine._guarded_put(cache, "key", "value", seq)
-            assert "key" not in cache
-            # Quiescent capture publishes.
-            seq = engine._capture_seq()
-            assert engine._guarded_put(cache, "key", "value", seq)
-            assert cache.get("key") == "value"
-        finally:
-            engine.close()
+    def test_update_seq_is_even_outside_updates(self, engine):
+        assert engine.update_seq == 0
+        engine.apply_updates([{"op": "insert", "values": [1.0, 1.0, 1.0]}])
+        assert engine.update_seq == 2
+        engine.apply_updates([("delete", 0)])
+        assert engine.update_seq == 4
+        with pytest.raises(KeyError):  # rejected before any mutation
+            engine.apply_updates([("delete", 0)])
+        assert engine.update_seq == 4
+
+    def test_guarded_put_rejects_odd_and_moved_sequences(self, engine):
+        cache = engine._utk1_cache
+        # Captured mid-update (odd): never published.
+        assert not engine._guarded_put(cache, "key", "value", 1)
+        assert "key" not in cache
+        # Captured before an update that then completed: rejected too.
+        seq = engine.update_seq
+        engine.apply_updates([{"op": "insert", "values": [2.0, 2.0, 2.0]}])
+        assert not engine._guarded_put(cache, "key", "value", seq)
+        assert "key" not in cache
+        # Quiescent capture publishes.
+        seq = engine.update_seq
+        assert engine._guarded_put(cache, "key", "value", seq)
+        assert cache.get("key") == "value"
 
     def test_update_never_poisons_warm_answers(self):
         """Interleaved queries and updates still match a serial engine."""

@@ -5,7 +5,7 @@ overflows (any working set of at most ``maxsize // stripes`` distinct keys),
 and *exact* predicate-eviction equivalence regardless of stripe placement.
 The hypothesis suite drives both caches with the same randomized operation
 interleavings and compares every return value plus the final counters; the
-direct tests pin down epochs, the atomic conditional puts, and the engine's
+direct tests pin down epochs, the atomic conditional put, and the engine's
 ``evict(region=)`` surgical path running on striped caches.
 """
 
@@ -18,8 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.region import hyperrectangle
-from repro.engine.cache import LRUCache
-from repro.serve.stripes import DEFAULT_STRIPES, StripedCache, stripe_index
+from repro.engine.cache import DEFAULT_STRIPES, LRUCache, StripedCache, stripe_index
 
 STRIPES = 4
 PER_STRIPE = 8
@@ -140,14 +139,21 @@ class TestStripeMechanics:
             if index != touched:
                 assert after[index] == before[index]
 
-    def test_put_at_epoch_rejects_moved_stripe(self):
+    def test_replace_bumps_only_the_replaced_keys_stripe(self):
         cache = StripedCache(MAXSIZE, stripes=STRIPES)
+        for key in KEYS:
+            cache.put(key, 1)
         key = KEYS[3]
-        epoch = cache.epoch_of(key)
-        assert cache.put_at_epoch(key, "fresh", epoch)
-        cache.bump_epoch(cache.stripe_of(key))
-        assert not cache.put_at_epoch(key, "stale", epoch)
-        assert cache.get(key) == "fresh"
+        before = cache.epochs()
+        assert cache.replace(key, 2)
+        after = cache.epochs()
+        touched = cache.stripe_of(key)
+        assert after[touched] == before[touched] + 1
+        for index in range(STRIPES):
+            if index != touched:
+                assert after[index] == before[index]
+        assert not cache.replace("absent", 3)  # nothing swapped, no bump
+        assert cache.epochs() == after
 
     def test_put_if_predicate_runs_under_the_stripe_lock(self):
         cache = StripedCache(MAXSIZE, stripes=STRIPES)
