@@ -46,6 +46,8 @@ from repro.kernels import (
     halfspace_coefficients,
     r_dominance_matrix,
     r_dominance_matrix_loop,
+    r_dominators_mask,
+    r_dominators_mask_loop,
     vertex_scores,
 )
 
@@ -155,16 +157,14 @@ def run_benchmark(setting):
         )
     )
 
+    # The BBS traversal's batch masks: many rows (an expanded node's entries,
+    # or the live frontier a new member sweeps) against a few members.
     probes = rng.random((setting["mask_probes"], d))
-
-    def mask_all(function):
-        return np.vstack([function(probe, values) for probe in probes])
-
     rows.append(
         compare(
             "dominators_mask",
-            lambda: mask_all(dominators_mask_loop),
-            lambda: mask_all(dominators_mask),
+            lambda: dominators_mask_loop(values, probes),
+            lambda: dominators_mask(values, probes),
             repeats,
             np.array_equal,
             n=n,
@@ -188,6 +188,20 @@ def run_benchmark(setting):
     )
 
     vertices = rng.random((8, d - 1)) * 0.2
+    row_scores = vertex_scores(values, vertices)
+    probe_scores = vertex_scores(probes, vertices)
+    rows.append(
+        compare(
+            "r_dominators_mask",
+            lambda: r_dominators_mask_loop(row_scores, probe_scores),
+            lambda: r_dominators_mask(row_scores, probe_scores),
+            repeats,
+            np.array_equal,
+            n=n,
+            d=setting["mask_probes"],
+        )
+    )
+
     r_n = setting["r_loop_n"]
     scores = vertex_scores(values[:r_n], vertices)
     rows.append(

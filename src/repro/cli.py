@@ -686,7 +686,7 @@ def _run_inspect(args: argparse.Namespace) -> int:
     index_path = Path(args.store_dir) / INDEX_NAME
     if index_path.exists():
         tree = PagedRTree(index_path, store.matrix)
-        _ = tree.root.is_leaf  # touch the root so the pool is warm
+        tree.read_root()  # touch the root so the pool is warm
         payload["index"] = {
             "pages": int(tree.meta["n_pages"]),
             "leaves": int(tree.meta["n_leaves"]),

@@ -16,11 +16,16 @@ This module stores one R-tree node per fixed-size **page** in a single file:
   ``repro_bufferpool_resident_pages`` while observability is enabled.
   Pinned pages are never evicted; requesting a page while every frame is
   pinned raises :class:`~repro.exceptions.StorageError`;
-* :class:`PagedRTree` satisfies the exact traversal contract of
-  ``PackedRTree`` (``dimension``/``root``/``count_access`` on the tree;
-  ``is_leaf``/``mbb``/``children``/``entries`` on node proxies), so BBS and
-  the skyband layers run unchanged over a tree that is read page by page
-  through the pool.
+* :class:`PagedRTree` answers the tree read contract of ``RTree`` and
+  ``PackedRTree`` (``dimension``, ``read_root``, ``read_node``,
+  ``count_access``), so BBS, top-k and the skyband layers run unchanged over
+  a tree that is read page by page through the pool.  A node read is one
+  pin of its page.  An internal page's frame keeps its children's ids and
+  MBB top corners once they have been looked up, so expanding a resident
+  internal page again does no child lookups; the cache costs
+  ``fanout x d x 8`` bytes (plus the id list) per resident internal frame
+  (64 x 3 x 8 = 1.5 KiB at the defaults) and leaves with the frame on
+  eviction.  Leaf rows are read from the record buffer, never cached.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import StorageError
-from repro.index.mbb import MBB
 from repro.index.rtree import ACCESS_OPS
 from repro.obs import runtime as _obs
 
@@ -182,9 +186,11 @@ def read_meta(path) -> dict:
 
 class _PageRecord:
     """One parsed node, owned by its pool frame (copied out of the mapping,
-    so an evicted page's data really leaves the resident set)."""
+    so an evicted page's data really leaves the resident set).  ``children``
+    is an internal page's ``(child ids, child top corners)`` once
+    :meth:`PagedRTree.read_node` has looked them up."""
 
-    __slots__ = ("is_leaf", "count", "lower", "upper", "ids")
+    __slots__ = ("is_leaf", "count", "lower", "upper", "ids", "children")
 
     def __init__(self, raw):
         self.is_leaf = bool(raw["is_leaf"])
@@ -192,6 +198,7 @@ class _PageRecord:
         self.lower = np.array(raw["lower"])
         self.upper = np.array(raw["upper"])
         self.ids = np.array(raw["ids"][: self.count])
+        self.children = None
 
 
 class _Frame:
@@ -300,47 +307,6 @@ class BufferPool:
         )
 
 
-class _PagedNode:
-    """Lazy proxy for one page of a :class:`PagedRTree`.
-
-    Mirrors :class:`repro.serve.packed._PackedNode`; every attribute access
-    goes through the tree's buffer pool, and the page stays pinned while its
-    children/entries are being read out.
-    """
-
-    __slots__ = ("_tree", "_page")
-
-    def __init__(self, tree: "PagedRTree", page: int):
-        self._tree = tree
-        self._page = page
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._tree.pool.get(self._page).is_leaf
-
-    @property
-    def mbb(self) -> MBB | None:
-        node = self._tree.pool.get(self._page)
-        if np.isnan(node.lower[0]):
-            return None
-        return MBB(node.lower, node.upper)
-
-    @property
-    def children(self) -> list["_PagedNode"]:
-        with self._tree.pool.pinned_page(self._page) as node:
-            return [_PagedNode(self._tree, int(child)) for child in node.ids]
-
-    @property
-    def entries(self) -> list[tuple[int, np.ndarray]]:
-        values = self._tree.values
-        with self._tree.pool.pinned_page(self._page) as node:
-            return [(int(rid), values[int(rid)]) for rid in node.ids]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else "internal"
-        return f"_PagedNode({kind}, page={self._page})"
-
-
 class PagedRTree:
     """Read-only R-tree traversed page by page through a buffer pool.
 
@@ -374,9 +340,31 @@ class PagedRTree:
         self.values = values
         self.access_counts: dict[str, int] = dict.fromkeys(ACCESS_OPS, 0)
 
-    @property
-    def root(self) -> _PagedNode:
-        return _PagedNode(self, 0)
+    def read_root(self) -> tuple[int, np.ndarray | None]:
+        """Root page 0 and its MBB top corner (``None`` for an empty tree)."""
+        upper = self.pool.get(0).upper
+        return 0, None if np.isnan(upper[0]) else upper
+
+    def read_node(self, page: int) -> tuple[bool, list[int], np.ndarray]:
+        """Page ``page`` as ``(is_leaf, ids, corners)`` (see
+        :meth:`repro.index.rtree.RTree.read_node`), under one pin.
+
+        The pin keeps an internal page resident while its children are
+        looked up, so it needs a pool of at least two frames.
+        """
+        with self.pool.pinned_page(page) as node:
+            if node.is_leaf:
+                return True, node.ids.tolist(), self.values[node.ids]
+            if node.children is None:
+                corners = np.array(
+                    [self.pool.get(child).upper for child in node.ids.tolist()]
+                ).reshape(node.count, node.upper.shape[0])
+                filled = ~np.isnan(corners[:, 0])
+                corners = corners[filled]
+                corners.flags.writeable = False
+                node.children = (node.ids[filled].tolist(), corners)
+            ids, corners = node.children
+            return False, ids, corners
 
     def count_access(self, op: str, n: int = 1) -> None:
         """Same tally contract as :meth:`RTree.count_access`."""

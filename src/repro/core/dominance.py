@@ -92,43 +92,28 @@ class RDominance:
         diff = scores[:, 0] - scores[:, 1]
         return bool(np.all(diff >= -self.tol) and np.any(diff > self.tol))
 
-    def dominators_of(self, point, pool: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``pool`` marking records that r-dominate ``point``.
+    def dominators_mask(self, rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Mask ``M[i, j] = True`` iff ``members[j]`` r-dominates ``rows[i]``.
 
-        ``point`` may be a data record or the top corner of an index node's
-        MBB (the BBS convention for node pruning).
+        A row may be a data record or the top corner of an index node's MBB
+        (the BBS convention for node pruning).  Row sums are dominator
+        counts; ``dominators_mask(pool, point[None])[:, 0]`` is the converse
+        mask of the pool records ``point`` r-dominates.
         """
-        pool = np.asarray(pool, dtype=float)
-        if pool.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
+        rows = np.asarray(rows, dtype=float)
+        members = np.asarray(members, dtype=float)
+        if rows.shape[0] == 0 or members.shape[0] == 0:
+            return np.zeros((rows.shape[0], members.shape[0]), dtype=bool)
         if self._vertices is None:
             return np.array(
-                [r_dominates(row, point, self.region, self.tol) for row in pool], dtype=bool
+                [[r_dominates(member, row, self.region, self.tol) for member in members]
+                 for row in rows],
+                dtype=bool,
             )
-        # One vertex_scores call on the stacked records keeps the probe and
-        # pool scores bit-identical to the pre-kernel implementation.
-        stacked = np.vstack([np.asarray(point, dtype=float).reshape(1, -1), pool])
-        scores = self._vertex_scores(stacked)
-        return _kernel_r_dominators_mask(scores[:, 0], scores[:, 1:], self.tol)
-
-    def dominated_by(self, point, pool: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``pool`` marking records that ``point`` r-dominates.
-
-        The converse of :meth:`dominators_of`: the incremental-maintenance
-        layer uses it to scope a deleted record's influence to exactly the
-        records it r-dominated.
-        """
-        pool = np.asarray(pool, dtype=float)
-        if pool.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        if self._vertices is None:
-            return np.array(
-                [r_dominates(point, row, self.region, self.tol) for row in pool], dtype=bool
-            )
-        stacked = np.vstack([np.asarray(point, dtype=float).reshape(1, -1), pool])
-        scores = self._vertex_scores(stacked)
-        diff = scores[:, 0][:, None] - scores[:, 1:]
-        return np.all(diff >= -self.tol, axis=0) & np.any(diff > self.tol, axis=0)
+        # One vertex_scores matmul over rows and members scores both alike.
+        n = rows.shape[0]
+        scores = self._vertex_scores(np.concatenate([rows, members]))
+        return _kernel_r_dominators_mask(scores[:, :n], scores[:, n:], self.tol)
 
     def dominance_matrix(self, values: np.ndarray) -> np.ndarray:
         """Full pairwise matrix ``M[i, j] = True`` iff record ``i`` r-dominates ``j``.

@@ -125,8 +125,8 @@ def compute_r_skyband(
     Small datasets use a fully vectorized quadratic pass; larger datasets (or
     callers that supply an R-tree) run the adapted BBS traversal of the paper
     — max-heap keyed by the score at the region's pivot, r-dominance tests
-    against the growing member set — and finalize the candidate superset with
-    an exact quadratic pass.
+    of whole nodes and frontier sweeps against the growing member set — and
+    finalize the candidate superset with an exact quadratic pass.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -141,25 +141,21 @@ def compute_r_skyband(
             tree = RTree(values)
         pivot = region.pivot
 
-        def key(point: np.ndarray) -> float:
-            return float(scores(point.reshape(1, -1), pivot)[0])
+        def dominator_counts(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+            return tester.dominators_mask(rows, members).sum(axis=1)
 
-        def dominators_of(point: np.ndarray, members: np.ndarray) -> np.ndarray:
-            return tester.dominators_of(point, members)
-
-        idx_list, row_list, stats = bbs_candidates(tree, k, key=key, dominators_of=dominators_of)
-        if not idx_list:
-            empty = np.zeros(0, dtype=int)
+        candidate_idx, candidate_rows, stats = bbs_candidates(
+            tree, k, key=lambda rows: scores(rows, pivot), dominator_counts=dominator_counts
+        )
+        if not candidate_idx.size:
             return RSkyband(
-                indices=empty,
+                indices=candidate_idx,
                 values=values[:0],
                 ancestors={},
                 descendants={},
                 region=region,
                 stats=stats,
             )
-        candidate_idx = np.asarray(idx_list, dtype=int)
-        candidate_rows = np.vstack(row_list)
 
     return _finalize_skyband(candidate_idx, candidate_rows, tester, region, k, stats)
 

@@ -306,7 +306,9 @@ class DynamicUTKEngine(UTKEngine):
                     self._skybands, entry.region, entry.k, allow_larger_k=True
                 )
                 verdict = donor is not None and int(
-                    RDominance(donor.region).dominators_of(stored, donor.skyband.values).sum()
+                    RDominance(donor.region)
+                    .dominators_mask(stored[None, :], donor.skyband.values)
+                    .sum()
                 ) >= entry.k
             verdicts[key] = verdict
             return verdict
@@ -319,7 +321,7 @@ class DynamicUTKEngine(UTKEngine):
         # kept, the rest evicted.
         def unaffected(key_k, indices) -> bool:
             rows = self._values[np.asarray(indices, dtype=int)]
-            return int(dominators_mask(stored, rows).sum()) >= key_k
+            return int(dominators_mask(stored[None, :], rows).sum()) >= key_k
 
         batch.entries_evicted += self._traditional_skybands.evict_where(
             lambda key_k, indices: not unaffected(key_k, indices)

@@ -73,10 +73,10 @@ def repair_insert(
     row = np.asarray(row, dtype=float).reshape(-1)
     tester = RDominance(skyband.region, tol)
     if skyband.size:
-        dominators = tester.dominators_of(row, skyband.values)
+        dominators = tester.dominators_mask(row[None, :], skyband.values)[0]
         if int(dominators.sum()) >= k:
             return SkybandRepair(skyband=skyband, changed=False, kind=KIND_NOOP)
-        dominated = tester.dominated_by(row, skyband.values)
+        dominated = tester.dominators_mask(skyband.values, row[None, :])[:, 0]
     else:
         dominators = np.zeros(0, dtype=bool)
         dominated = np.zeros(0, dtype=bool)
@@ -171,11 +171,7 @@ def repair_delete(
     member_idx = skyband.indices[keep]
     member_rows = skyband.values[keep]
 
-    tester = RDominance(skyband.region, tol)
-    if pool_rows.shape[0]:
-        dominated = tester.dominated_by(row, pool_rows)
-    else:
-        dominated = np.zeros(0, dtype=bool)
+    dominated = RDominance(skyband.region, tol).dominators_mask(pool_rows, row[None, :])[:, 0]
     member_set = {int(i) for i in member_idx}
     extra = [p for p in np.flatnonzero(dominated) if int(pool_ids[p]) not in member_set]
 

@@ -10,9 +10,13 @@ The tree supports two construction modes:
   (underfull nodes are dissolved and their records re-inserted), so dynamic
   workloads are also covered.
 
-Traversal-oriented consumers (BBS, branch-and-bound top-k) only need the
-public node API: :attr:`RTreeNode.is_leaf`, :attr:`RTreeNode.children`,
-:attr:`RTreeNode.entries` and :attr:`RTreeNode.mbb`.
+Traversal-oriented consumers (BBS, branch-and-bound top-k) read the tree
+through two methods, which the packed (:mod:`repro.serve.packed`) and paged
+(:mod:`repro.colstore.pages`) trees implement over their own memory:
+:meth:`RTree.read_root` gives the root's handle and MBB top corner, and
+:meth:`RTree.read_node` one node as arrays — child handles with their MBB
+top corners, or record ids with their rows.  The node objects'
+``children``/``entries`` serve this tree's own insert and delete.
 """
 
 from __future__ import annotations
@@ -465,6 +469,28 @@ class RTree:
             "child_nodes": np.asarray(child_nodes, dtype=np.int64),
             "entry_ids": np.asarray(entry_ids, dtype=np.int64),
         }
+
+    # ------------------------------------------------------------- traversal
+    def read_root(self) -> tuple[RTreeNode, np.ndarray | None]:
+        """The root's handle and MBB top corner (``None`` for an empty tree)."""
+        root = self.root
+        return root, None if root.mbb is None else root.mbb.top_corner
+
+    def read_node(self, node: RTreeNode) -> tuple[bool, list, np.ndarray]:
+        """One node as ``(is_leaf, ids, corners)``.
+
+        For an internal node, ``ids`` are the child handles and ``corners``
+        their MBB top corners (empty children skipped); for a leaf, the
+        record ids and their rows.  ``corners`` has one row per id.
+        """
+        if node.is_leaf:
+            ids = [index for index, _ in node.entries]
+            rows = [point for _, point in node.entries]
+        else:
+            ids = [child for child in node.children if child.mbb is not None]
+            rows = [child.mbb.top_corner for child in ids]
+        corners = np.array(rows, dtype=float).reshape(len(ids), self.dimension or 0)
+        return node.is_leaf, ids, corners
 
     # ---------------------------------------------------------------- queries
     def range_search(self, lower, upper) -> list[int]:

@@ -6,7 +6,7 @@ evaluations, and r-dominance tests against a preference region.  This package
 provides those primitives as batch kernels over contiguous NumPy arrays:
 
 * :mod:`repro.kernels.dominance` — pairwise dominance matrices, dominance
-  counts, and the incremental "who dominates this new point" mask used by the
+  counts, and the batch "which members dominate these rows" mask used by the
   BBS traversal, computed with per-dimension accumulation over ``(n, n)``
   boolean slabs (faster and far leaner than an ``(n, n, d)`` broadcast).
 * :mod:`repro.kernels.halfspace` — the affine score decomposition, batched

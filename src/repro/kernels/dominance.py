@@ -144,28 +144,44 @@ def dominance_counts_loop(values: np.ndarray, tol: float = DOMINANCE_TOL) -> np.
     return counts
 
 
-def dominators_mask(point, pool: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
-    """Boolean mask over ``pool`` marking records that dominate ``point``.
+def dominators_mask(
+    rows: np.ndarray, members: np.ndarray, tol: float = DOMINANCE_TOL
+) -> np.ndarray:
+    """Mask ``M[i, j] = True`` iff ``members[j]`` dominates ``rows[i]``.
 
-    The incremental BBS primitive: ``point`` may be a data record or the top
-    corner of an index node's MBB, ``pool`` the current skyband members.  One
-    broadcast, no per-member loop.
+    The batch BBS primitive: ``rows`` are the entries of an expanded index
+    node (record rows or child MBB top corners) or the live frontier,
+    ``members`` the current skyband members.  Per-dimension accumulation
+    over one ``(n, m)`` boolean slab; row sums are dominator counts.
     """
-    pool = np.asarray(pool, dtype=float)
-    if pool.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    point = np.asarray(point, dtype=float).reshape(-1)
-    geq = np.all(pool >= point - tol, axis=1)
-    gt = np.any(pool > point + tol, axis=1)
-    return geq & gt
+    rows = np.asarray(rows, dtype=float)
+    members = np.asarray(members, dtype=float)
+    if rows.shape[0] == 0 or members.shape[0] == 0:
+        return np.zeros((rows.shape[0], members.shape[0]), dtype=bool)
+    lo = rows - tol
+    hi = rows + tol
+    geq = np.less_equal.outer(lo[:, 0], members[:, 0])
+    gt = np.less.outer(hi[:, 0], members[:, 0])
+    for axis in range(1, rows.shape[1]):
+        geq &= np.less_equal.outer(lo[:, axis], members[:, axis])
+        gt |= np.less.outer(hi[:, axis], members[:, axis])
+    geq &= gt
+    return geq
 
 
-def dominators_mask_loop(point, pool: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
-    """Reference per-member implementation of :func:`dominators_mask`."""
-    pool = np.asarray(pool, dtype=float)
-    point = np.asarray(point, dtype=float).reshape(-1)
-    out = np.zeros(pool.shape[0], dtype=bool)
-    for position in range(pool.shape[0]):
-        row = pool[position]
-        out[position] = bool(np.all(row >= point - tol) and np.any(row > point + tol))
+def dominators_mask_loop(
+    rows: np.ndarray, members: np.ndarray, tol: float = DOMINANCE_TOL
+) -> np.ndarray:
+    """Reference per-row implementation of :func:`dominators_mask`.
+
+    One broadcast over the members per row — the single-probe test the BBS
+    traversal used to run for every popped entry.
+    """
+    rows = np.asarray(rows, dtype=float)
+    members = np.asarray(members, dtype=float)
+    out = np.zeros((rows.shape[0], members.shape[0]), dtype=bool)
+    for position in range(rows.shape[0]):
+        geq = np.all(members >= rows[position] - tol, axis=1)
+        gt = np.any(members > rows[position] + tol, axis=1)
+        out[position] = geq & gt
     return out

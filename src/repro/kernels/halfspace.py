@@ -15,7 +15,8 @@ differences at the region's vertices.  The kernels here batch all of that:
 * :func:`vertex_scores` — scores of ``n`` records at ``v`` region vertices in
   one matmul;
 * :func:`r_dominance_matrix` / :func:`r_dominators_mask` — vectorized
-  r-dominance over candidate pools, from vertex scores.
+  r-dominance within a candidate pool, and of a batch of rows by the current
+  members, from vertex scores.
 
 As in :mod:`repro.kernels.dominance`, each kernel has a ``*_loop`` reference
 performing the same elementwise float operations one record at a time; the
@@ -27,6 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.dominance import DOMINANCE_TOL, _row_block
+
+#: Upper bound on the score differences one :func:`r_dominators_mask`
+#: broadcast materializes (``2**16`` float64 cells, 512 KiB).
+_MASK_CELLS = 1 << 16
 
 
 def score_decomposition(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,29 +162,41 @@ def r_dominance_matrix_loop(scores: np.ndarray, tol: float = DOMINANCE_TOL) -> n
 
 
 def r_dominators_mask(
-    point_scores: np.ndarray, pool_scores: np.ndarray, tol: float = DOMINANCE_TOL
+    row_scores: np.ndarray, member_scores: np.ndarray, tol: float = DOMINANCE_TOL
 ) -> np.ndarray:
-    """Mask over a pool marking records that r-dominate a probe point.
+    """Mask ``M[i, j] = True`` iff member ``j`` r-dominates row ``i``.
 
-    ``point_scores`` has shape ``(v,)`` (the probe's score at every region
-    vertex), ``pool_scores`` shape ``(v, n)``.  For bit-identical results the
-    two score blocks should come from a single :func:`vertex_scores` call on
-    the stacked records, as :class:`repro.core.dominance.RDominance` does.
+    ``row_scores`` has shape ``(v, n)`` and ``member_scores`` shape
+    ``(v, m)``: the scores of the probed rows and of the current members at
+    every region vertex.  Member ``j`` r-dominates row ``i`` when their score
+    difference is ``>= -tol`` at every vertex and ``> tol`` at some vertex.
+    Each row block is one ``(v, block, m)`` difference broadcast reduced over
+    the vertex axis, so a call costs a few NumPy operations however many
+    vertices the region has — the traversal's batches are small and many.
     """
-    point_scores = np.asarray(point_scores, dtype=float)
-    pool_scores = np.asarray(pool_scores, dtype=float)
-    diff = pool_scores - point_scores[:, None]
-    return np.all(diff >= -tol, axis=0) & np.any(diff > tol, axis=0)
+    row_scores = np.asarray(row_scores, dtype=float)
+    member_scores = np.asarray(member_scores, dtype=float)
+    vertex_count, n = row_scores.shape
+    m = member_scores.shape[1]
+    out = np.zeros((n, m), dtype=bool)
+    if n == 0 or m == 0 or vertex_count == 0:
+        return out
+    members = member_scores[:, None, :]
+    step = max(1, _MASK_CELLS // (vertex_count * m))
+    for start in range(0, n, step):
+        diff = members - row_scores[:, start : start + step, None]
+        out[start : start + step] = (diff >= -tol).all(axis=0) & (diff > tol).any(axis=0)
+    return out
 
 
 def r_dominators_mask_loop(
-    point_scores: np.ndarray, pool_scores: np.ndarray, tol: float = DOMINANCE_TOL
+    row_scores: np.ndarray, member_scores: np.ndarray, tol: float = DOMINANCE_TOL
 ) -> np.ndarray:
-    """Reference per-member implementation of :func:`r_dominators_mask`."""
-    point_scores = np.asarray(point_scores, dtype=float)
-    pool_scores = np.asarray(pool_scores, dtype=float)
-    out = np.zeros(pool_scores.shape[1], dtype=bool)
-    for j in range(pool_scores.shape[1]):
-        diff = pool_scores[:, j] - point_scores
-        out[j] = bool(np.all(diff >= -tol) and np.any(diff > tol))
+    """Reference per-row implementation of :func:`r_dominators_mask`."""
+    row_scores = np.asarray(row_scores, dtype=float)
+    member_scores = np.asarray(member_scores, dtype=float)
+    out = np.zeros((row_scores.shape[1], member_scores.shape[1]), dtype=bool)
+    for i in range(row_scores.shape[1]):
+        diff = member_scores - row_scores[:, i][:, None]
+        out[i] = np.all(diff >= -tol, axis=0) & np.any(diff > tol, axis=0)
     return out

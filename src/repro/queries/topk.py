@@ -42,35 +42,27 @@ def top_k_rtree(tree: RTree, weights, k: int) -> list[tuple[int, float]]:
     Nodes are visited best-first by the score of their MBB top corner, which
     upper-bounds the score of every record underneath (weights and attributes
     are non-negative); the search stops once ``k`` records have been popped
-    whose scores dominate all remaining upper bounds.
+    whose scores dominate all remaining upper bounds.  Each expanded node is
+    one ``read_node`` call and one batch scoring of its entries, so any tree
+    with the read contract (in-memory, packed or paged) works.
     """
     if k <= 0:
         raise InvalidQueryError("k must be positive")
-    if tree.root.mbb is None:
+    root, corner = tree.read_root()
+    if corner is None:
         return []
     weights = np.asarray(weights, dtype=float).reshape(-1)
-
-    def score_of(point: np.ndarray) -> float:
-        return float(scores(point.reshape(1, -1), weights)[0])
-
     counter = itertools.count()
-    heap: list[tuple[float, int, int, object]] = []
-    heapq.heappush(heap, (-score_of(tree.root.mbb.top_corner), next(counter), 0, tree.root))
+    heap = [(-float(scores(corner.reshape(1, -1), weights)[0]), next(counter), False, root)]
     result: list[tuple[int, float]] = []
     while heap and len(result) < k:
-        negative_key, _, kind, payload = heapq.heappop(heap)
-        if kind == 1:
-            index, point = payload
-            result.append((int(index), -negative_key))
+        negative_key, _, is_record, handle = heapq.heappop(heap)
+        if is_record:
+            result.append((int(handle), -negative_key))
             continue
-        node = payload
-        if node.is_leaf:
-            for index, point in node.entries:
-                heapq.heappush(heap, (-score_of(point), next(counter), 1, (index, point)))
-        else:
-            for child in node.children:
-                if child.mbb is not None:
-                    heapq.heappush(heap, (-score_of(child.mbb.top_corner), next(counter), 0, child))
+        is_leaf, ids, corners = tree.read_node(handle)
+        for priority, child in zip(scores(corners, weights).tolist(), ids):
+            heapq.heappush(heap, (-priority, next(counter), is_leaf, child))
     return result
 
 

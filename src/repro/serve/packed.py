@@ -1,65 +1,20 @@
 """Zero-copy R-tree traversal over :meth:`RTree.flatten` arrays.
 
-:class:`PackedRTree` exposes exactly the node API the BBS traversal
-(:func:`repro.skyline.bbs.bbs_candidates`) and the skyband layers consume —
-``dimension``, ``root``, ``count_access`` on the tree; ``is_leaf``, ``mbb``,
-``children``, ``entries`` on nodes — backed by the flat arrays a serving
-worker attached from shared memory.  Node proxies are created lazily during
-traversal, so attaching costs O(1) regardless of tree size, and entry
-coordinates are *views* of the shared record buffer (never copied).
+:class:`PackedRTree` answers the tree read contract the BBS traversal
+(:func:`repro.skyline.bbs.bbs_candidates`) and branch-and-bound top-k
+consume — ``dimension``, ``read_root``, ``read_node`` and ``count_access``
+— from the flat arrays a serving worker attached from shared memory.  A
+node read is one slice of the child or entry ids plus one fancy index into
+``node_upper`` or the record buffer, so attaching costs O(1) regardless of
+tree size and no per-node object is ever built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index.mbb import MBB
 from repro.index.rtree import ACCESS_OPS
 from repro.obs import runtime as _obs
-
-
-class _PackedNode:
-    """Lazy proxy for one node of a packed tree."""
-
-    __slots__ = ("_tree", "_position")
-
-    def __init__(self, tree: "PackedRTree", position: int):
-        self._tree = tree
-        self._position = position
-
-    @property
-    def is_leaf(self) -> bool:
-        return bool(self._tree.node_is_leaf[self._position])
-
-    @property
-    def mbb(self) -> MBB | None:
-        lower = self._tree.node_lower[self._position]
-        if np.isnan(lower[0]):
-            return None
-        return MBB(lower, self._tree.node_upper[self._position])
-
-    @property
-    def children(self) -> list["_PackedNode"]:
-        first = int(self._tree.node_first[self._position])
-        count = int(self._tree.node_count[self._position])
-        return [
-            _PackedNode(self._tree, int(child))
-            for child in self._tree.child_nodes[first:first + count]
-        ]
-
-    @property
-    def entries(self) -> list[tuple[int, np.ndarray]]:
-        first = int(self._tree.node_first[self._position])
-        count = int(self._tree.node_count[self._position])
-        values = self._tree.values
-        return [
-            (int(record_id), values[int(record_id)])
-            for record_id in self._tree.entry_ids[first:first + count]
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else "internal"
-        return f"_PackedNode({kind}, position={self._position})"
 
 
 class PackedRTree:
@@ -76,7 +31,6 @@ class PackedRTree:
     """
 
     def __init__(self, flat: dict, values: np.ndarray):
-        self.node_lower = flat["node_lower"]
         self.node_upper = flat["node_upper"]
         self.node_is_leaf = flat["node_is_leaf"]
         self.node_first = flat["node_first"]
@@ -88,9 +42,23 @@ class PackedRTree:
         self.values = values
         self.access_counts: dict[str, int] = dict.fromkeys(ACCESS_OPS, 0)
 
-    @property
-    def root(self) -> _PackedNode:
-        return _PackedNode(self, 0)
+    def read_root(self) -> tuple[int, np.ndarray | None]:
+        """Root position 0 and its MBB top corner (``None`` for an empty tree)."""
+        corner = self.node_upper[0]
+        return 0, None if np.isnan(corner[0]) else corner
+
+    def read_node(self, position: int) -> tuple[bool, list[int], np.ndarray]:
+        """Node ``position`` as ``(is_leaf, ids, corners)`` (see
+        :meth:`repro.index.rtree.RTree.read_node`)."""
+        first = int(self.node_first[position])
+        stop = first + int(self.node_count[position])
+        if self.node_is_leaf[position]:
+            ids = self.entry_ids[first:stop]
+            return True, ids.tolist(), self.values[ids]
+        children = self.child_nodes[first:stop]
+        corners = self.node_upper[children]
+        filled = ~np.isnan(corners[:, 0])
+        return False, children[filled].tolist(), corners[filled]
 
     def count_access(self, op: str, n: int = 1) -> None:
         """Same tally contract as :meth:`RTree.count_access`."""

@@ -44,23 +44,14 @@ def k_skyband(
     if tree is None:
         tree = RTree(values)
 
-    def key(point: np.ndarray) -> float:
-        return float(np.sum(point))
-
-    def dominators_of(point: np.ndarray, members: np.ndarray) -> np.ndarray:
-        return dominators_mask(point, members, tol)
-
     candidate_idx, candidate_rows, stats = bbs_candidates(
-        tree, k, key=key, dominators_of=dominators_of
+        tree,
+        k,
+        key=lambda rows: rows.sum(axis=1),
+        dominator_counts=lambda rows, members: dominators_mask(rows, members, tol).sum(axis=1),
     )
-    if not candidate_idx:
-        empty = np.zeros(0, dtype=int)
-        return (empty, stats) if return_stats else empty
-    pool = np.vstack(candidate_rows)
-    matrix = dominance_matrix(pool, tol)
-    counts = matrix.sum(axis=0)
-    members = np.asarray(candidate_idx, dtype=int)[counts < k]
-    members = np.sort(members)
+    counts = dominance_matrix(candidate_rows, tol).sum(axis=0)
+    members = np.sort(candidate_idx[counts < k])
     return (members, stats) if return_stats else members
 
 

@@ -8,6 +8,9 @@ The oracles here are deliberately independent from the library's algorithms:
 * ``sampled_top_k_union`` — a dense random sample of weight vectors; the
   union of their top-k sets is a subset of the true UTK1 answer.
 * ``brute_force_top_k`` — plain full-scoring top-k with deterministic ties.
+* ``oracle_*`` — scalar per-pair versions of the batch kernels.
+* ``bbs_candidates_loop`` — the per-element BBS traversal the library's
+  node-at-a-time one replaced, kept as its reference.
 
 This module lives next to the tests (not inside ``conftest.py``) so that the
 test files can import it absolutely (``from helpers import ...``) under any
@@ -17,11 +20,14 @@ repository root.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.core.preference import scores
+from repro.skyline.bbs import BBSStatistics
 
 
 def exact_utk1_d2(values: np.ndarray, lo: float, hi: float, k: int) -> set[int]:
@@ -123,15 +129,17 @@ def oracle_dominance_counts(values: np.ndarray, tol: float) -> np.ndarray:
     return oracle_dominance_matrix(values, tol).sum(axis=0)
 
 
-def oracle_dominators_mask(point, pool: np.ndarray, tol: float) -> np.ndarray:
-    """Per-member mask of pool records dominating ``point``."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    pool = np.asarray(pool, dtype=float)
-    out = np.zeros(pool.shape[0], dtype=bool)
-    for i in range(pool.shape[0]):
-        geq = all(pool[i, k] >= point[k] - tol for k in range(pool.shape[1]))
-        gt = any(pool[i, k] > point[k] + tol for k in range(pool.shape[1]))
-        out[i] = geq and gt
+def oracle_dominators_mask(rows: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
+    """Per-pair mask: ``[i, j]`` iff ``members[j]`` dominates ``rows[i]``."""
+    rows = np.asarray(rows, dtype=float)
+    members = np.asarray(members, dtype=float)
+    d = rows.shape[1]
+    out = np.zeros((rows.shape[0], members.shape[0]), dtype=bool)
+    for i in range(rows.shape[0]):
+        for j in range(members.shape[0]):
+            geq = all(members[j, a] >= rows[i, a] - tol for a in range(d))
+            gt = any(members[j, a] > rows[i, a] + tol for a in range(d))
+            out[i, j] = geq and gt
     return out
 
 
@@ -149,15 +157,17 @@ def oracle_r_dominance_matrix(vertex_scores: np.ndarray, tol: float) -> np.ndarr
     return out
 
 
-def oracle_r_dominators_mask(point_scores, pool_scores, tol: float) -> np.ndarray:
-    """Per-member r-dominance of pool records over a probe, from vertex scores."""
-    point_scores = np.asarray(point_scores, dtype=float)
-    pool_scores = np.asarray(pool_scores, dtype=float)
-    v, n = pool_scores.shape
-    out = np.zeros(n, dtype=bool)
-    for j in range(n):
-        diffs = [pool_scores[w, j] - point_scores[w] for w in range(v)]
-        out[j] = all(d >= -tol for d in diffs) and any(d > tol for d in diffs)
+def oracle_r_dominators_mask(row_scores, member_scores, tol: float) -> np.ndarray:
+    """Per-pair r-dominance of rows by members, from ``(v, n)``/``(v, m)`` vertex scores."""
+    row_scores = np.asarray(row_scores, dtype=float)
+    member_scores = np.asarray(member_scores, dtype=float)
+    v, n = row_scores.shape
+    m = member_scores.shape[1]
+    out = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        for j in range(m):
+            diffs = [member_scores[w, j] - row_scores[w, i] for w in range(v)]
+            out[i, j] = all(d >= -tol for d in diffs) and any(d > tol for d in diffs)
     return out
 
 
@@ -173,3 +183,98 @@ def oracle_halfspace_values(
         for j in range(points.shape[0]):
             out[i, j] = float(np.dot(normals[i], points[j])) - offsets[i]
     return out
+
+
+# --------------------------------------------------------------------------
+# Traversal reference.
+
+def bbs_candidates_loop(tree, k: int, *,
+                        key: Callable[[np.ndarray], float],
+                        dominators_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        ) -> tuple[list[int], list[np.ndarray], BBSStatistics]:
+    """Per-element BBS traversal: the reference for the node-at-a-time one.
+
+    The library's traversal before it batched whole nodes, kept verbatim:
+    every popped node or record is tested on its own against the members
+    through the single-probe ``dominators_of`` callback.  It walks an
+    in-memory :class:`~repro.index.rtree.RTree` through its node objects.
+
+    Parameters
+    ----------
+    tree:
+        R-tree over the dataset.
+    k:
+        Skyband parameter: elements dominated by ``k`` or more current
+        members are pruned.
+    key:
+        Monotone scoring of a point; nodes are keyed by their MBB top corner.
+    dominators_of:
+        ``(probe_point, member_matrix) -> bool mask`` of members dominating
+        the probe.
+
+    Returns
+    -------
+    (indices, points, stats)
+        Candidate record indices (in pop order), their attribute vectors and
+        traversal statistics.
+    """
+    stats = BBSStatistics()
+    members_idx: list[int] = []
+    members_rows: list[np.ndarray] = []
+    # Members live in an amortized-doubling buffer so the r-dominance kernel
+    # always sees one contiguous matrix; the seed re-stacked the whole pool on
+    # every admission, which is quadratic in the member count.
+    dimension = tree.dimension or 0
+    member_buffer = np.empty((16, dimension), dtype=float)
+    member_count = 0
+
+    counter = itertools.count()
+    heap: list[tuple[float, int, int, object]] = []
+
+    def push(kind: int, priority: float, payload) -> None:
+        heapq.heappush(heap, (-priority, next(counter), kind, payload))
+        stats.heap_pushes += 1
+
+    root = tree.root
+    if root.mbb is None:
+        return [], [], stats
+    push(0, key(root.mbb.top_corner), root)
+
+    while heap:
+        _, _, kind, payload = heapq.heappop(heap)
+        if kind == 0:  # index node
+            node = payload
+            stats.nodes_visited += 1
+            corner = node.mbb.top_corner
+            if member_count >= k:
+                dominated_by = int(dominators_of(corner, member_buffer[:member_count]).sum())
+                if dominated_by >= k:
+                    stats.nodes_pruned += 1
+                    continue
+            if node.is_leaf:
+                for index, point in node.entries:
+                    push(1, key(point), (index, point))
+            else:
+                for child in node.children:
+                    if child.mbb is not None:
+                        push(0, key(child.mbb.top_corner), child)
+        else:  # data record
+            index, point = payload
+            stats.records_visited += 1
+            if member_count >= k:
+                dominated_by = int(dominators_of(point, member_buffer[:member_count]).sum())
+                if dominated_by >= k:
+                    stats.records_pruned += 1
+                    continue
+            members_idx.append(int(index))
+            members_rows.append(np.asarray(point, dtype=float))
+            if member_count == member_buffer.shape[0]:
+                grown = np.empty((member_buffer.shape[0] * 2, dimension), dtype=float)
+                grown[:member_count] = member_buffer[:member_count]
+                member_buffer = grown
+            member_buffer[member_count] = point
+            member_count += 1
+
+    stats.candidate_count = len(members_idx)
+    tree.count_access("search", stats.nodes_visited)
+    return members_idx, members_rows, stats

@@ -81,8 +81,9 @@ class TestStreamingBuild:
         assert meta["size"] == 0
         paged = PagedRTree(tmp_path / "t.pages", empty)
         assert len(paged) == 0
-        assert paged.root.is_leaf
-        assert paged.root.mbb is None
+        root, corner = paged.read_root()
+        assert corner is None
+        assert paged.read_node(root)[:2] == (True, [])
         skyband = compute_r_skyband(empty, region(), 2, tree=paged)
         assert len(skyband.members()) == 0
 

@@ -145,11 +145,39 @@ class TestPagedRTree:
     def test_contract_surface(self, values, paged):
         assert len(paged) == 300
         assert paged.dimension == 3
-        assert paged.root.is_leaf is False
-        assert paged.root.mbb is not None
+        root, corner = paged.read_root()
+        is_leaf, children, corners = paged.read_node(root)
+        assert is_leaf is False
+        assert corners.shape == (len(children), 3)
+        assert np.all(corner >= corners)  # the root's top corner bounds its children's
+        # A leaf read returns record ids with their rows from the record buffer.
+        page = children[0]
+        while not (read := paged.read_node(page))[0]:
+            page = read[1][0]
+        _, ids, rows = read
+        assert np.array_equal(rows, values[ids])
+        assert paged.pool.pinned() == 0
         assert 0.0 < paged.fill_factor() <= 1.0
         paged.count_access("search", 5)
         assert paged.access_counts["search"] == 5
+
+    def test_internal_frames_cache_their_children(self, tmp_path, values):
+        # Expanding a resident internal page again does no child lookups; an
+        # evicted page forgets its cache and looks its children up again.
+        tree = RTree(values, max_entries=8)
+        write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+        paged = PagedRTree(tmp_path / "t.pages", values, pool_pages=4)
+        first = paged.read_node(0)
+        lookups = paged.pool.stats["hits"] + paged.pool.stats["misses"]
+        assert paged.read_node(0)[2] is first[2]
+        assert paged.pool.stats["hits"] + paged.pool.stats["misses"] == lookups + 1
+        for page in range(1, 9):
+            paged.pool.get(page)
+        before = paged.pool.stats["misses"]
+        _, children, corners = paged.read_node(0)
+        assert children == first[1] and np.array_equal(corners, first[2])
+        assert paged.pool.stats["misses"] > before + 1
+        assert paged.pool.pinned() == 0
 
     def test_page_count_mismatch_is_detected(self, tmp_path, values):
         tree = RTree(values, max_entries=8)

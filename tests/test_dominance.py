@@ -119,18 +119,27 @@ class TestRDominanceBatch:
                     if matrix[j, m]:
                         assert matrix[i, m], "r-dominance must be transitive"
 
-    def test_dominators_of_matches_matrix(self, region):
+    def test_dominators_mask_matches_matrix(self, region):
         rng = np.random.default_rng(8)
         values = rng.random((12, 3)) * 10
         helper = RDominance(region)
-        matrix = helper.dominance_matrix(values)
-        for j in range(values.shape[0]):
-            mask = helper.dominators_of(values[j], values)
-            expected = matrix[:, j].copy()
-            # dominators_of compares the probe against the pool, so the probe
-            # matched against itself must not count.
-            assert mask[j] == False  # noqa: E712
-            assert np.array_equal(mask, expected)
+        # Row i of the batch mask marks the members r-dominating record i:
+        # column i of the pairwise matrix, so never the record itself.
+        mask = helper.dominators_mask(values, values)
+        assert np.array_equal(mask, helper.dominance_matrix(values).T)
+        assert not mask.diagonal().any()
+        # The converse direction is the same call with the roles swapped.
+        assert np.array_equal(
+            helper.dominators_mask(values, values[:1])[:, 0], helper.dominance_matrix(values)[0]
+        )
+
+    def test_dominators_mask_without_vertices_uses_lp(self):
+        region = Region(np.vstack([np.eye(2), -np.eye(2)]), np.array([0.4, 0.3, -0.1, -0.1]))
+        rows = np.array([[5.0, 5.0, 5.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
+        mask = RDominance(region).dominators_mask(rows, rows[:2])
+        expected = [[r_dominates(member, row, region) for member in rows[:2]] for row in rows]
+        assert mask.tolist() == expected
+        assert mask.tolist() == [[False, False], [True, False], [True, False]]
 
     def test_dominance_counts(self, region):
         values = np.array([[9.0, 9.0, 9.0], [8.0, 8.0, 8.0], [1.0, 1.0, 1.0],])
@@ -139,5 +148,6 @@ class TestRDominanceBatch:
 
     def test_empty_pool(self, region):
         helper = RDominance(region)
-        assert helper.dominators_of(np.array([1.0, 1.0, 1.0]), np.zeros((0, 3))).size == 0
+        assert helper.dominators_mask(np.ones((2, 3)), np.zeros((0, 3))).shape == (2, 0)
+        assert helper.dominators_mask(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
         assert helper.dominance_matrix(np.zeros((0, 3))).shape == (0, 0)

@@ -14,6 +14,8 @@ values are drawn from coarse grids so exact ties arise constantly.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from helpers import (
     oracle_dominance_counts,
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.preference import scores
 from repro.core.region import hyperrectangle
 from repro.core.rskyband import compute_r_skyband
+from repro.kernels import halfspace as halfspace_kernels
 from repro.kernels import (
     dominance_counts,
     dominance_counts_loop,
@@ -108,13 +111,17 @@ class TestDominanceKernels:
     @COMMON
     @given(dominance_case())
     def test_dominators_mask_agrees(self, case):
+        # Rows shifted by exactly ±tol tie with the members they came from.
         values, tol, _ = case
-        if values.shape[0] == 0:
-            return
-        for probe in (values[0], values[0] + tol, values.mean(axis=0)):
-            kernel = dominators_mask(probe, values, tol)
-            assert np.array_equal(kernel, dominators_mask_loop(probe, values, tol))
-            assert np.array_equal(kernel, oracle_dominators_mask(probe, values, tol))
+        rows = np.vstack([values, values + tol, values - tol])
+        for members in (values, values[:0], values[:1]):
+            kernel = dominators_mask(rows, members, tol)
+            assert kernel.shape == (rows.shape[0], members.shape[0])
+            assert np.array_equal(kernel, dominators_mask_loop(rows, members, tol))
+            assert np.array_equal(kernel, oracle_dominators_mask(rows, members, tol))
+        # Rows against their own pool: the transposed pairwise matrix.
+        kernel = dominators_mask(values, values, tol)
+        assert np.array_equal(kernel, dominance_matrix(values, tol).T)
 
     def test_exact_tie_semantics(self):
         # A record exactly tol better never strictly dominates; one 2*tol
@@ -127,6 +134,10 @@ class TestDominanceKernels:
         assert matrix[2, 0]
         assert not matrix[0, 3] and not matrix[3, 0]
         assert np.array_equal(matrix, oracle_dominance_matrix(values, tol))
+        # The batch mask draws the same line for every row at once.
+        mask = dominators_mask(values[[0, 3]], values, tol)
+        assert mask.tolist() == [[False, False, True, False]] * 2
+        assert np.array_equal(mask, oracle_dominators_mask(values[[0, 3]], values, tol))
 
 
 class TestHalfspaceKernels:
@@ -177,13 +188,27 @@ class TestRDominanceKernels:
     @COMMON
     @given(score_case())
     def test_mask_agrees_with_loop_and_oracle(self, case):
+        # Columns 1-3 tie with column 0 at exactly 0 and ±tol.
         matrix, tol, _ = case
-        if matrix.shape[1] == 0:
-            return
-        point, pool = matrix[:, 0], matrix[:, 1:]
-        kernel = r_dominators_mask(point, pool, tol)
-        assert np.array_equal(kernel, r_dominators_mask_loop(point, pool, tol))
-        assert np.array_equal(kernel, oracle_r_dominators_mask(point, pool, tol))
+        for members in (matrix, matrix[:, :0], matrix[:, :1]):
+            kernel = r_dominators_mask(matrix, members, tol)
+            assert kernel.shape == (matrix.shape[1], members.shape[1])
+            assert np.array_equal(kernel, r_dominators_mask_loop(matrix, members, tol))
+            assert np.array_equal(kernel, oracle_r_dominators_mask(matrix, members, tol))
+        # Rows against their own pool: the transposed pairwise matrix.
+        kernel = r_dominators_mask(matrix, matrix, tol)
+        assert np.array_equal(kernel, r_dominance_matrix(matrix, tol).T)
+
+    def test_mask_row_blocks_agree(self):
+        # A tiny broadcast budget splits the rows into blocks of one and two.
+        rng = np.random.default_rng(21)
+        scores_matrix = rng.integers(0, 4, size=(3, 9)).astype(float) / 4
+        for cells in (3, 7):
+            with mock.patch.object(halfspace_kernels, "_MASK_CELLS", cells):
+                kernel = r_dominators_mask(scores_matrix, scores_matrix[:, :3], 0.0)
+            assert np.array_equal(
+                kernel, r_dominators_mask_loop(scores_matrix, scores_matrix[:, :3], 0.0)
+            )
 
     def test_exact_tie_semantics(self):
         # Equal scores everywhere: no r-dominance either way; tol better
@@ -197,6 +222,11 @@ class TestRDominanceKernels:
         assert not matrix[2, 0]
         assert matrix[3, 0]
         assert np.array_equal(matrix, oracle_r_dominance_matrix(scores_matrix, tol))
+        mask = r_dominators_mask(scores_matrix[:, :1], scores_matrix, tol)
+        assert mask.tolist() == [[False, False, False, True]]
+        assert np.array_equal(
+            mask, oracle_r_dominators_mask(scores_matrix[:, :1], scores_matrix, tol)
+        )
 
 
 class TestSkybandAdjacency:

@@ -94,6 +94,21 @@ class TestPackedTree:
         packed = PackedRTree(tree.flatten(), values)
         assert len(packed) == len(tree)
         assert packed.dimension == tree.dimension
+        # Both trees read node by node in lockstep: same leaf ids and rows,
+        # same child top corners.
+        (live_root, live_corner), (flat_root, flat_corner) = tree.read_root(), packed.read_root()
+        assert np.array_equal(live_corner, flat_corner)
+        stack = [(live_root, flat_root)]
+        while stack:
+            live_node, flat_node = stack.pop()
+            live_leaf, live_ids, live_corners = tree.read_node(live_node)
+            flat_leaf, flat_ids, flat_corners = packed.read_node(flat_node)
+            assert live_leaf == flat_leaf
+            assert np.array_equal(live_corners, flat_corners)
+            if live_leaf:
+                assert live_ids == flat_ids
+            else:
+                stack.extend(zip(live_ids, flat_ids))
         region = hyperrectangle([0.1, 0.1], [0.3, 0.3])
         for k in (1, 2, 4):
             live = compute_r_skyband(values, region, k, tree=tree)
