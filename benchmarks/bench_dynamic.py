@@ -1,11 +1,11 @@
-"""Dynamic-data maintenance: DynamicUTKEngine vs rebuild-from-scratch.
+"""Dynamic-data maintenance: in-place engine updates vs rebuild-from-scratch.
 
 Serves the same low-churn interleaved insert/delete/query stream twice:
 
 * **rebuild** — the status quo for a static engine: every update discards
   the engine (R-tree bulk load, caches cold) and queries pay the full
   filtering + refinement cost again;
-* **dynamic** — one :class:`~repro.dynamic.engine.DynamicUTKEngine` absorbs
+* **dynamic** — one :class:`~repro.engine.engine.UTKEngine` absorbs
   the updates, repairing its R-tree and cached r-skybands incrementally and
   evicting only the results an update actually invalidated.
 
@@ -41,7 +41,7 @@ from repro import obs
 from repro.bench.reporting import write_bench_json
 from repro.core.region import hyperrectangle
 from repro.datasets.synthetic import synthetic_dataset, update_stream
-from repro.dynamic import DynamicUTKEngine, serve_events
+from repro.dynamic import serve_events
 from repro.engine import UTKEngine
 
 #: Required dynamic-vs-rebuild speedup (the PR's acceptance bar).
@@ -153,14 +153,14 @@ def run_rebuild(data, events, regions):
 
 
 def run_dynamic(data, events):
-    """Serve the stream through one DynamicUTKEngine.
+    """Serve the stream through one engine that applies every update.
 
     Engine construction is inside the timer: the rebuild path pays for its
     first (equivalent) engine build inside its own timed loop, so excluding
     this one would bias the speedup gate.
     """
     started = time.perf_counter()
-    engine = DynamicUTKEngine(data)
+    engine = UTKEngine(data)
     reports = serve_events(engine, events)
     seconds = time.perf_counter() - started
     answers = []
@@ -222,7 +222,7 @@ def run_benchmark(setting, required_speedup=REQUIRED_SPEEDUP):
 def test_dynamic_gate():
     """Pytest entry point: smoke-sized run asserting the smoke gate."""
     rows, gates = run_benchmark(SETTINGS["smoke"])
-    print_rows("Dynamic maintenance — rebuild-per-update vs DynamicUTKEngine", rows)
+    print_rows("Dynamic maintenance — rebuild-per-update vs in-place updates", rows)
     assert gates["all_answers_identical"], gates
     assert gates["passed"], gates
 
@@ -246,7 +246,7 @@ def main(argv=None):
     obs.REGISTRY.reset()
     with obs.activated():
         rows, gates = run_benchmark(SETTINGS[mode], required_speedup=args.required_speedup)
-    print_rows("Dynamic maintenance — rebuild-per-update vs DynamicUTKEngine", rows)
+    print_rows("Dynamic maintenance — rebuild-per-update vs in-place updates", rows)
     write_bench_json(args.output, "dynamic_maintenance", rows, gates=gates, meta={"mode": mode})
     print(f"\nwrote {args.output}")
     print(f"wrote {emit_metrics_artifact(args.output, 'dynamic_maintenance', mode)}")

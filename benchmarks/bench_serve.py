@@ -38,7 +38,7 @@ from repro import obs
 from repro.bench.reporting import write_bench_json
 from repro.core.region import hyperrectangle
 from repro.datasets.synthetic import synthetic_dataset
-from repro.serve import ServeEngine
+from repro.engine import UTKEngine
 from repro.serve.workers import (
     worker_attach_probe,
     worker_query,
@@ -109,7 +109,7 @@ def run_benchmark(setting, required_speedup=REQUIRED_SPEEDUP):
     data = synthetic_dataset(
         "IND", setting["cardinality"], setting["dimensionality"], seed=setting["seed"]
     )
-    engine = ServeEngine(data)
+    engine = UTKEngine(data, store="shm")
     try:
         share_started = time.perf_counter()
         descriptor = engine.shared_descriptor()

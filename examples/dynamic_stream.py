@@ -1,12 +1,13 @@
 """Dynamic data: serving an interleaved insert/delete/query stream.
 
 A production recommender cannot drop its warm caches every time a record is
-added or retired.  :class:`~repro.dynamic.engine.DynamicUTKEngine` maintains
-the R-tree incrementally, repairs every cached r-skyband per update
-(provable no-ops cost a handful of r-dominance tests) and evicts only the
-cached results an update actually invalidated.  This demo serves the same
-event stream twice — rebuilding a static engine after every update vs. one
-dynamic engine — and cross-checks that both report identical answers.
+added or retired.  A :class:`~repro.engine.engine.UTKEngine` applies each
+update in place: it maintains the R-tree incrementally, repairs every cached
+r-skyband (provable no-ops cost a handful of r-dominance tests) and evicts
+only the cached results an update actually invalidated.  This demo serves
+the same event stream twice — rebuilding a fresh engine after every update
+vs. one engine that applies them — and cross-checks that both report
+identical answers.
 
 Run with:  python examples/dynamic_stream.py
 """
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro import DynamicUTKEngine, UTKEngine, hyperrectangle
+from repro import UTKEngine, hyperrectangle
 from repro.datasets import synthetic_dataset, update_stream
 from repro.dynamic import serve_events
 
@@ -35,7 +36,7 @@ def rebuild_baseline(values: np.ndarray, events: list[dict]) -> tuple[float, lis
             rows[next_id] = np.asarray(event["values"], dtype=float)
             ids.append(next_id)
             next_id += 1
-            engine = None  # the static engine cannot absorb an update
+            engine = None  # the baseline discards its engine on every update
         elif event["op"] == "delete":
             ids.remove(event["id"])
             rows.pop(event["id"])
@@ -67,12 +68,12 @@ def main() -> None:
     cold_seconds, cold_answers = rebuild_baseline(data.values, events)
     print(f"rebuild-per-update : {cold_seconds:.2f}s")
 
-    engine = DynamicUTKEngine(data)
+    engine = UTKEngine(data)
     started = time.perf_counter()
     results = serve_events(engine, events)
     warm_seconds = time.perf_counter() - started
     warm_answers = [sorted(r["utk1"]["records"]) for r in results if r["op"] == "query"]
-    print(f"DynamicUTKEngine   : {warm_seconds:.2f}s "
+    print(f"in-place updates   : {warm_seconds:.2f}s "
           f"— {cold_seconds / warm_seconds:.1f}x faster")
     assert warm_answers == cold_answers, "dynamic and rebuild answers must agree"
     print("answers identical across all queries")

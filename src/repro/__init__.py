@@ -24,7 +24,7 @@ from repro.core.result import UTK1Result, UTK2Result, UTKPartition
 from repro.core.rsa import RSA
 from repro.core.jaa import JAA
 from repro.core.scoring import LinearScoring, MonotoneScoring, PowerScoring
-from repro.dynamic import DynamicUTKEngine, RecordStore
+from repro.dynamic import RecordStore
 from repro.engine import BatchQuery, UTKEngine
 from repro.parallel import parallel_utk1, parallel_utk2, parallel_utk_query, subdivide_region
 from repro.exceptions import (
@@ -49,7 +49,6 @@ __all__ = [
     "k_skyband",
     "make_engine",
     "UTKEngine",
-    "DynamicUTKEngine",
     "RecordStore",
     "BatchQuery",
     "Dataset",

@@ -11,8 +11,8 @@ any code:
   statistics;
 * ``stream`` — serve a JSON-lines stream of interleaved
   ``insert``/``delete``/``query`` events through a
-  :class:`~repro.dynamic.engine.DynamicUTKEngine`, whose caches are repaired
-  per update instead of cleared;
+  :class:`~repro.engine.engine.UTKEngine`, whose caches are repaired per
+  update instead of cleared;
 * ``experiment`` — run one of the per-figure experiment generators and print
   the rows the paper's figure plots;
 * ``metrics`` — print the observability metric schema, or summarize a
@@ -20,9 +20,9 @@ any code:
 * ``matrix`` — run the scenario × backend matrix (the CI/nightly entry
   point): every cell oracle-checked against the SQL pushdown, artifacts
   schema-versioned, ``--gates`` additionally runs the benchmark smoke gates;
-* ``serve`` — run the serving tier: a shared-memory-backed
-  :class:`~repro.serve.engine.ServeEngine` behind an asyncio JSONL socket
-  protocol, draining gracefully on ``SIGTERM``;
+* ``serve`` — run the serving tier: the engine over shared memory with
+  striped caches (:class:`~repro.serve.engine.ServeEngine`) behind an
+  asyncio JSONL socket protocol, draining gracefully on ``SIGTERM``;
 * ``soak`` — fire concurrent query and update clients at a running
   ``serve`` instance and verify every answer against a serial replay
   (zero stale answers allowed);
@@ -834,14 +834,14 @@ def _read_stream_events(source: str) -> list[dict]:
 
 
 def _run_stream(args: argparse.Namespace) -> int:
-    from repro.dynamic import DynamicUTKEngine, serve_events
+    from repro.dynamic import serve_events
 
     events = _read_stream_events(args.input)
     if not events:
         print("no events supplied", file=sys.stderr)
         return 1
     data = _load_dataset(args.dataset, args.cardinality, args.dimensionality, args.seed)
-    engine = DynamicUTKEngine(data, cache_size=args.cache_size)
+    engine = make_engine(data, cache_size=args.cache_size)
     if args.metrics is not None:
         _obs_start()
     started = time.perf_counter()

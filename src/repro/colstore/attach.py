@@ -47,13 +47,13 @@ def materialize(
 
 
 def attach_engine_inputs(data, store_dir, *, pool_pages: int | None = None):
-    """``(values, tree)`` for an engine over the colstore backend.
+    """``(store, tree)`` for a read-only engine over the colstore backend.
 
     With ``data`` given, materializes it at ``store_dir`` first; otherwise
-    attaches the persisted store there read-only.  The returned values are
-    the store's zero-copy mmap view and the tree is a :class:`PagedRTree`
-    whose leaf ids index that view (tombstoned rows are unreachable through
-    the index, mirroring the dynamic engine's tombstone story).
+    attaches the persisted store there read-only.  The engine queries the
+    store's zero-copy mmap view, and the tree is a :class:`PagedRTree` whose
+    leaf ids index that view (tombstoned rows are unreachable through the
+    index, as in an engine that maintains its own tree).
     """
     if store_dir is None:
         raise StorageError("the colstore backend needs store_dir=<directory>")
@@ -69,4 +69,4 @@ def attach_engine_inputs(data, store_dir, *, pool_pages: int | None = None):
         build_paged_rtree(store, index_path)
     options = {} if pool_pages is None else {"pool_pages": pool_pages}
     tree = PagedRTree(index_path, store.matrix, **options)
-    return store.matrix, tree
+    return store, tree

@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.colstore.pages import META_SUFFIX, write_pages
 from repro.dynamic.store import RecordStore
 from repro.exceptions import StorageError
 
@@ -69,20 +72,25 @@ class ColumnarRecordStore(RecordStore):
     directory:
         Directory holding the manifest and the column/liveness files
         (created if missing).  An existing store there is overwritten —
-        use :meth:`open` to re-attach one instead.
+        use :meth:`open` to re-attach one instead.  ``None`` makes a private
+        temp directory that :meth:`close` removes.
     capacity:
         Optional initial capacity (grows geometrically when exceeded).
     """
 
-    def __init__(self, values, *, directory, capacity: int | None = None):
+    def __init__(self, values, *, directory=None, capacity: int | None = None):
         # _allocate runs inside super().__init__ and needs this state first
         # (the SharedRecordStore pattern).
+        self._tempdir = None
+        if directory is None:
+            directory = self._tempdir = tempfile.mkdtemp(prefix="repro-colstore-")
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._generation = -1
         self._mode = "w+"
         self._columns: np.memmap | None = None
         self._active_map: np.memmap | None = None
+        self._tree_path: Path | None = None
         self._closed = False
         super().__init__(values, capacity=capacity)
         self.sync()
@@ -141,9 +149,11 @@ class ColumnarRecordStore(RecordStore):
         directory = Path(directory)
         manifest = read_manifest(directory)
         store = cls.__new__(cls)
+        store._tempdir = None
         store._directory = directory
         store._generation = int(manifest["generation"])
         store._mode = mode
+        store._tree_path = None
         store._closed = False
         d, capacity = int(manifest["dimensionality"]), int(manifest["capacity"])
         store._columns = _map_columns(
@@ -219,15 +229,21 @@ class ColumnarRecordStore(RecordStore):
         write_manifest(self._directory, self.manifest())
 
     def close(self) -> None:
-        """Flush and drop the mappings; the directory stays attachable."""
+        """Flush and drop the mappings and unlink the published tree; the
+        directory stays attachable unless it is the private temp one."""
         if self._closed:
             return
         self.sync()
         self._closed = True
         self._columns = None
         self._active_map = None
+        if self._tree_path is not None:
+            _unlink_pages(self._tree_path)
+            self._tree_path = None
+        if self._tempdir is not None:
+            shutil.rmtree(self._tempdir, ignore_errors=True)
 
-    # ------------------------------------------------------ serve-tier duties
+    # ---------------------------------------------------------- worker access
     def mmap_location(self) -> dict:
         """Attachment descriptor for query workers mapping the files directly
         (the colstore analogue of ``SharedRecordStore.shared_location``)."""
@@ -239,10 +255,21 @@ class ColumnarRecordStore(RecordStore):
             "capacity": int(self._columns.shape[1]),
         }
 
-    def segment_names(self) -> list[str]:
-        """No shared-memory segments: file-backed stores leak nothing in
-        ``/dev/shm`` (kept for :meth:`ServeEngine.shm_segment_names`)."""
-        return []
+    def worker_location(self) -> dict:
+        """The mmap buffer descriptor, after a flush so attachers see every row."""
+        self.sync()
+        return {"kind": "colstore", "buffer": self.mmap_location(),
+                "count": int(self._count)}
+
+    def publish_tree(self, flat: dict, generation: int) -> dict:
+        """Write the tree as a page file next to the columns; unlink the
+        previous one (workers attach it as a :class:`PagedRTree`)."""
+        path = self._directory / f"rtree.g{generation}.pages"
+        meta = write_pages(path, flat)
+        previous, self._tree_path = self._tree_path, path
+        if previous is not None and previous != path:
+            _unlink_pages(previous)
+        return {"path": str(path), "meta": meta}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -250,6 +277,15 @@ class ColumnarRecordStore(RecordStore):
             f"d={self.dimensionality}, generation={self._generation}, "
             f"directory={str(self._directory)!r})"
         )
+
+
+def _unlink_pages(path: Path) -> None:
+    """Remove a page file and its meta sidecar (either may already be gone)."""
+    for stale in (path, Path(str(path) + META_SUFFIX)):
+        try:
+            stale.unlink()
+        except FileNotFoundError:
+            pass
 
 
 def attach_columns(location: dict, count: int) -> np.ndarray:

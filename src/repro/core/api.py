@@ -97,12 +97,14 @@ def make_engine(
     lazily to keep the one-shot path dependency-free.
 
     ``store`` selects the storage backend.  ``"memory"`` (default) holds the
-    dataset in RAM.  ``"colstore"`` binds to memory-mapped columnar storage
-    under ``store_dir``: when ``data`` is ``None`` the persisted store there
-    is attached read-only together with its paged R-tree (built on demand);
-    otherwise ``data`` is first materialized into a fresh colstore at
-    ``store_dir``.  The colstore path queries the mmap views zero-copy, so
-    it requires the identity (linear) scoring transform.
+    dataset in RAM and ``"shm"`` in shared memory (see :class:`UTKEngine`).
+    ``"colstore"`` binds to memory-mapped columnar storage under
+    ``store_dir`` through its paged R-tree: when ``data`` is ``None`` the
+    persisted store there is attached read-only together with its index
+    (built on demand); otherwise ``data`` is first materialized into a fresh
+    colstore at ``store_dir``.  Either way the engine serves reads only and
+    queries the mmap views zero-copy, so it requires the identity (linear)
+    scoring transform.
     """
     from repro.engine import UTKEngine
 
@@ -118,22 +120,16 @@ def make_engine(
                 "the colstore backend indexes raw attribute values; only the "
                 "identity (linear) scoring transform is supported"
             )
-        values, tree = attach_engine_inputs(data, store_dir)
-        return UTKEngine(
-            values,
-            scoring=scoring,
-            cache_size=cache_size,
-            parallel_workers=parallel_workers,
-            tree=tree,
-            **options,
-        )
-    if store != "memory":
-        raise InvalidQueryError(f"unknown store backend {store!r} (memory|colstore)")
+        # The engine takes over the materialized (or re-attached) store and
+        # its paged index as they are: no heap copy, no second tree.
+        store, options["tree"] = attach_engine_inputs(data, store_dir)
+        data = None
     return UTKEngine(
         data,
         scoring=scoring,
         cache_size=cache_size,
         parallel_workers=parallel_workers,
+        store=store,
         **options,
     )
 

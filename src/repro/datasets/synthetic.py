@@ -128,7 +128,7 @@ def update_stream(
         The dataset the stream starts from (a
         :class:`~repro.core.records.Dataset` or an ``(n, d)`` matrix); its
         records are assumed to hold ids ``0..n-1``, as a
-        :class:`~repro.dynamic.engine.DynamicUTKEngine` assigns them.
+        :class:`~repro.engine.engine.UTKEngine` assigns them.
     count:
         Number of events to generate.
     insert_prob, delete_prob:

@@ -1,20 +1,21 @@
 """repro.dynamic — streaming insert/delete maintenance for the UTK stack.
 
-The static stack assumes an immutable dataset: any record change forces a
-full rebuild (re-bulk-load the R-tree, recompute every r-skyband, drop every
-engine cache).  This subsystem makes the whole stack update-aware:
+A static stack would force a full rebuild on any record change (re-bulk-load
+the R-tree, recompute every r-skyband, drop every engine cache).  This
+subsystem holds the pieces that make :class:`~repro.engine.UTKEngine`
+update-aware instead:
 
 * :class:`RecordStore` — a growable record buffer with stable ids and
-  tombstoned deletes (:mod:`repro.dynamic.store`);
+  tombstoned deletes (:mod:`repro.dynamic.store`), the base of every storage
+  backend;
 * :func:`repair_insert` / :func:`repair_delete` — exact incremental
   r-skyband maintenance (:mod:`repro.dynamic.maintenance`);
-* :class:`DynamicUTKEngine` — a serving engine whose caches are surgically
-  repaired or evicted per update instead of cleared
-  (:mod:`repro.dynamic.engine`), plus :func:`serve_events` for interleaved
-  update/query event streams (the ``repro stream`` CLI mode).
+* :func:`serve_events` — an interleaved update/query event stream driven
+  through an engine (:mod:`repro.dynamic.engine`, the ``repro stream`` CLI
+  mode).
 """
 
-from repro.dynamic.engine import DynamicUTKEngine, UpdateStatistics, serve_events
+from repro.dynamic.engine import serve_events
 from repro.dynamic.maintenance import (
     KIND_NOOP,
     KIND_PATCHED,
@@ -26,8 +27,6 @@ from repro.dynamic.maintenance import (
 from repro.dynamic.store import RecordStore
 
 __all__ = [
-    "DynamicUTKEngine",
-    "UpdateStatistics",
     "serve_events",
     "RecordStore",
     "SkybandRepair",

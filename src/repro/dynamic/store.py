@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import InvalidDatasetError
+from repro.exceptions import InvalidDatasetError, StorageError
 
 
 class RecordStore:
@@ -31,18 +31,25 @@ class RecordStore:
     capacity:
         Optional initial buffer capacity (grows geometrically when exceeded).
 
-    **Storage-backend hook contract.**  Every storage backend —
+    **Storage-backend contract.**  This class is the heap backend
+    (``UTKEngine(store="memory")``).  Every other storage backend —
     :class:`~repro.serve.shm.SharedRecordStore` over shared memory,
     :class:`~repro.colstore.store.ColumnarRecordStore` over memory-mapped
-    column files — is this class plus exactly two overridden hooks:
+    column files — is this class plus overrides of two groups of hooks:
 
-    * :meth:`_allocate` produces the backing arrays for one capacity
-      generation;
-    * :meth:`_discard` releases the generation a grow retired.
+    * the bytes: :meth:`_allocate` produces the backing arrays for one
+      capacity generation and :meth:`_discard` releases the generation a
+      grow retired;
+    * the worker descriptor and lifetime: :meth:`worker_location` and
+      :meth:`publish_tree` say where query worker processes find the record
+      buffer and the engine's packed R-tree, :meth:`segment_names` lists the
+      shared-memory segments for crash cleanup, and :meth:`close` releases
+      everything the store created.
 
     All id assignment, tombstoning, bounds/validity checks and the geometric
     growth schedule stay in this base class, so backends cannot diverge on
-    semantics — only on where the bytes live.
+    semantics — only on where the bytes live.  The engine never asks which
+    backend it holds.
     """
 
     #: Geometric growth factor: both the initial headroom over ``values`` and
@@ -228,6 +235,39 @@ class RecordStore:
         self._buffer = buffer
         self._active = active
         self._discard(old_buffer, old_active)
+
+    # ---------------------------------------------------------- worker access
+    def worker_location(self) -> dict:
+        """The ``buffer``/``count`` entries of the engine's worker descriptor.
+
+        Backends whose bytes other processes can map return where the
+        current buffer generation lives (plus a ``kind`` when workers need
+        one); heap buffers are private to this process.
+        """
+        raise StorageError(
+            "the in-memory store cannot be attached by worker processes; "
+            "use store='shm' or store='colstore'"
+        )
+
+    def publish_tree(self, flat: dict, generation: int) -> dict:
+        """Publish a flattened R-tree (:meth:`RTree.flatten`) for workers.
+
+        Returns the ``tree`` manifest of the worker descriptor and retires
+        the tree this store published before, so at most one is live.
+        ``generation`` is the engine's update sequence the tree reflects.
+        """
+        raise StorageError(
+            "the in-memory store cannot publish a tree to worker processes; "
+            "use store='shm' or store='colstore'"
+        )
+
+    def segment_names(self) -> list[str]:
+        """Names of the shared-memory segments backing this store (none here)."""
+        return []
+
+    def close(self) -> None:
+        """Release everything this store created (idempotent; the heap
+        buffers go with the garbage collector)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RecordStore(active={self._n_active}, high_water={self._count}, "

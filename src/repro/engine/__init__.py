@@ -8,11 +8,13 @@ executor.  See :class:`UTKEngine` for the full story.
 
 from repro.engine.batch import (BatchItem, BatchQuery, as_batch_query, run_batch, summarize_batch)
 from repro.engine.cache import LRUCache, region_contains, region_signature
-from repro.engine.engine import EngineStatistics, UTKEngine, clip_partitioning
+from repro.engine.engine import (EngineStatistics, UpdateStatistics, UTKEngine,
+                                 clip_partitioning)
 
 __all__ = [
     "UTKEngine",
     "EngineStatistics",
+    "UpdateStatistics",
     "clip_partitioning",
     "BatchQuery",
     "BatchItem",

@@ -1,4 +1,4 @@
-"""A persistent UTK query-serving engine.
+"""The UTK query-serving engine.
 
 The one-shot API (:func:`repro.core.api.utk1` / ``utk2``) re-transforms the
 data and recomputes the r-skyband for every call.  :class:`UTKEngine` binds to
@@ -16,22 +16,40 @@ a dataset once and serves many queries fast through three layers:
    grow as the region shrinks (the paper's progressiveness property), so a
    cached candidate/cell set is always a superset for a contained query.
 3. **LRU eviction** — every cache is a bounded
-   :class:`~repro.engine.cache.StripedCache` (one stripe here; the serving
-   tier splits it further) that evicts least-recently-used entries, with
-   hit/miss/eviction statistics for capacity planning.
+   :class:`~repro.engine.cache.StripedCache` (one stripe by default; the
+   serving tier splits it further) that evicts least-recently-used entries,
+   with hit/miss/eviction statistics for capacity planning.
 
-Concurrency follows one protocol.  Cache reads take no engine lock (a cache
-locks only the stripe it touches) and the counters sit under a small stats
-lock.  Only the paths that traverse the R-tree — cold r-skyband filtering
-and the traditional k-skyband — run under the engine lock, which the
-update-aware subclass also holds while it mutates the data.  One guard
-protects every cache write: a seqlock, ``_update_seq``, which an update
-makes odd before its first mutation and even again after its last cache
-sweep.  A query captures it before its first cache read and publishes each
-derived entry through :meth:`StripedCache.put_if`, which re-checks under the
-stripe lock that the value is still the same *even* number — so no update
-started or finished in between, and the entry was derived from current,
-fully swept state.  A query racing an update may still *serve* the
+The records live in a :class:`~repro.dynamic.store.RecordStore` — the one
+plug point.  ``store="memory"`` keeps them on the heap, ``"shm"`` in
+shared-memory segments and ``"colstore"`` in memory-mapped column files;
+each store also publishes the buffer and a packed R-tree to query worker
+processes (:meth:`UTKEngine.shared_descriptor`).  The engine itself never
+asks which store it holds.
+
+Every engine stays exact under record insertion and deletion: records keep
+stable ids (tombstoned deletes), the shared R-tree is maintained in place,
+every cached r-skyband is *repaired* through :mod:`repro.dynamic.maintenance`
+(a provable no-op costs ``O(m)`` r-dominance tests, a real change patches the
+member set and graph in place), and cached UTK1/UTK2 results are kept
+whenever the update provably did not touch their region's r-skyband and
+surgically evicted otherwise.  After any update sequence, every query equals
+the answer of a fresh engine rebuilt from :meth:`UTKEngine.snapshot`.  An
+engine bound to a pre-built read-only index (the colstore's paged R-tree)
+rejects every update batch during validation.
+
+Concurrency follows one protocol: serialized updates beside lock-free reads.
+Cache reads take no engine lock (a cache locks only the stripe it touches)
+and the counters sit under a small stats lock.  Only the paths that traverse
+the R-tree — cold r-skyband filtering and the traditional k-skyband — run
+under the engine lock, which updates also hold while they mutate the data.
+One guard protects every cache write: a seqlock, ``_update_seq``, which an
+update makes odd before its first mutation and even again after its last
+cache sweep.  A query captures it before its first cache read and publishes
+each derived entry through :meth:`StripedCache.put_if`, which re-checks under
+the stripe lock that the value is still the same *even* number — so no
+update started or finished in between, and the entry was derived from
+current, fully swept state.  A query racing an update may still *serve* the
 pre-update answer (it was correct at some moment between its admission and
 completion) but can never poison a cache.
 
@@ -40,6 +58,7 @@ Batch workloads fan out over a thread pool via :meth:`UTKEngine.run_batch`.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
@@ -47,18 +66,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cell import Cell
+from repro.core.dominance import RDominance
 from repro.core.jaa import JAA
 from repro.core.records import Dataset
 from repro.core.region import Region
 from repro.core.result import UTK1Result, UTK2Result, UTKPartition
 from repro.core.rsa import RSA
-from repro.core.rskyband import (
-    RSkyband, _BRUTE_FORCE_LIMIT, compute_r_skyband, refilter_r_skyband
-)
+from repro.core.rskyband import RSkyband, compute_r_skyband, refilter_r_skyband
 from repro.core.scoring import LinearScoring, ScoringFunction
+from repro.dynamic.engine import OP_DELETE, OP_INSERT
+from repro.dynamic.maintenance import KIND_NOOP, SkybandRepair, repair_delete, repair_insert
+from repro.dynamic.store import RecordStore
 from repro.engine.cache import StripedCache, region_contains, region_signature
 from repro.exceptions import InvalidQueryError
 from repro.index.rtree import RTree
+from repro.kernels.dominance import dominators_mask
 from repro.obs import runtime as _obs
 from repro.obs import names as _metric_names
 from repro.obs.trace import span
@@ -69,6 +91,9 @@ SOURCE_CONTAINMENT = "containment"
 SOURCE_SKYBAND_HIT = "skyband-hit"
 SOURCE_SKYBAND_CONTAINMENT = "skyband-containment"
 SOURCE_COLD = "cold"
+
+#: Cache names in the order :meth:`UTKEngine.stripe_epochs` reports them.
+CACHE_NAMES = ("skyband", "utk1", "utk2", "k_skyband")
 
 
 @dataclass
@@ -108,6 +133,29 @@ class EngineStatistics:
         }
 
 
+@dataclass
+class UpdateStatistics:
+    """Counters describing the maintenance work of an engine's lifetime.
+
+    ``entries_repaired``/``entries_noop`` count cached r-skybands patched vs
+    proven unaffected; ``entries_evicted`` counts cached results (and
+    traditional skybands) that had to be dropped; ``results_retained`` counts
+    the cached results that survived an update untouched.
+    """
+
+    updates_applied: int = 0
+    inserts: int = 0
+    deletes: int = 0
+    entries_repaired: int = 0
+    entries_noop: int = 0
+    entries_evicted: int = 0
+    results_retained: int = 0
+
+    def as_dict(self) -> dict:
+        """Plain-dict view merged into :meth:`UTKEngine.statistics`."""
+        return dataclasses.asdict(self)
+
+
 @dataclass(frozen=True)
 class _SkybandEntry:
     region: Region
@@ -140,22 +188,36 @@ def clip_partitioning(result: UTK2Result, region: Region) -> UTK2Result:
     return UTK2Result(partitions=clipped, region=region, k=result.k, stats=stats)
 
 
+def _open_store(kind: str, values: np.ndarray, store_dir) -> RecordStore:
+    """The record store ``store=kind`` names, holding ``values`` as ids ``0..n-1``."""
+    if kind == "memory":
+        return RecordStore(values)
+    if kind == "shm":
+        from repro.serve.shm import SharedRecordStore
+
+        return SharedRecordStore(values)
+    if kind == "colstore":
+        from repro.colstore.store import ColumnarRecordStore
+
+        return ColumnarRecordStore(values, directory=store_dir)
+    raise InvalidQueryError(f"unknown store backend {kind!r} (memory|shm|colstore)")
+
+
 class UTKEngine:
-    """Serve many UTK queries against one dataset.
+    """Serve many UTK queries against one dataset, exact under updates.
 
     Parameters
     ----------
     data:
         A :class:`~repro.core.records.Dataset` or an ``(n, d)`` matrix.  The
-        scoring transform is applied once at construction.
+        scoring transform is applied once at construction; record ``i``
+        receives the stable id ``i`` and every insertion a fresh,
+        never-reused id.  ``None`` when ``store`` is an already built store.
     scoring:
         Optional scoring function; defaults to the linear weighted sum.
     cache_size:
-        Capacity of each of the three LRU caches (r-skybands, UTK1 results,
-        UTK2 results).
-    index_threshold:
-        Datasets larger than this get a bulk-loaded R-tree at bind time (the
-        same cut-off the filtering step uses to pick BBS over brute force).
+        Capacity of each of the four LRU caches (r-skybands, UTK1 results,
+        UTK2 results, traditional k-skybands).
     parallel_workers:
         When at least 2, cache-miss queries whose r-skyband has at least
         ``parallel_min_candidates`` members are routed to the
@@ -170,6 +232,26 @@ class UTKEngine:
         the best single predictor of refinement cost (it grows with both
         ``k`` and the region size), so it doubles as the large-σ / large-k
         detector.
+    store:
+        Where the records live: ``"memory"`` (default, the heap),
+        ``"shm"`` (shared-memory segments query workers attach zero-copy)
+        or ``"colstore"`` (memory-mapped column files, no ``/dev/shm``
+        usage); or an already built :class:`~repro.dynamic.store.RecordStore`
+        holding transformed values, with the index over it as ``tree``,
+        which the engine takes over.
+    store_dir:
+        Directory of the colstore backend.  Defaults to a private temp
+        directory that is removed on :meth:`close`; pass an explicit path to
+        persist the store past the engine.
+    stripes:
+        Stripe count of each engine cache (see
+        :data:`~repro.engine.cache.DEFAULT_STRIPES` and the CONTRIBUTING
+        notes on tuning).
+    tree:
+        A pre-built index over the store's ids (the colstore's
+        :class:`~repro.colstore.pages.PagedRTree`) instead of a bulk-loaded
+        in-memory R-tree.  The engine never mutates an index it did not
+        build, so such an engine serves reads only.
 
     The engine is thread-safe (see the module docstring for the protocol),
     so :meth:`run_batch` can fan queries across a thread pool.  Concurrent
@@ -179,48 +261,50 @@ class UTKEngine:
     bounded pool instead of oversubscribing the machine.
     """
 
-    #: Lock stripes of each engine cache; the serving tier raises it per
-    #: instance before this constructor runs.
-    _cache_stripes = 1
-
     def __init__(
         self,
         data,
         *,
         scoring: ScoringFunction | None = None,
         cache_size: int = 128,
-        index_threshold: int = _BRUTE_FORCE_LIMIT,
         parallel_workers: int = 0,
         parallel_min_candidates: int = 48,
+        store: str | RecordStore = "memory",
+        store_dir=None,
+        stripes: int = 1,
         tree=None,
     ):
-        self._dataset = data if isinstance(data, Dataset) else None
-        matrix = data.values if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-        if matrix.ndim != 2:
-            raise InvalidQueryError("engine data must be an (n, d) matrix")
+        if parallel_workers < 0:
+            raise InvalidQueryError("parallel_workers must be non-negative")
         self.scoring = scoring or LinearScoring()
-        self._values = self.scoring.transform(matrix)
-        # A pre-built index (e.g. a colstore PagedRTree over the same id
-        # space) short-circuits bulk loading; it must satisfy the RTree
-        # traversal contract and index exactly the rows of ``data``.
-        self._tree: RTree | None = tree
-        if self._tree is None and self._values.shape[0] > index_threshold:
-            self._tree = RTree(self._values)
+        self._dataset = data if isinstance(data, Dataset) else None
+        if isinstance(store, RecordStore):
+            if data is not None:
+                raise InvalidQueryError("pass the records as data or as a built store, not both")
+            self._store = store
+        else:
+            matrix = data.values if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+            if matrix.ndim != 2:
+                raise InvalidQueryError("engine data must be an (n, d) matrix")
+            self._store = _open_store(store, self.scoring.transform(matrix), store_dir)
+        self._values = self._store.matrix
+        self._read_only = tree is not None
+        self._tree = RTree(self._values) if tree is None else tree
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._update_seq = 0
-        stripes = self._cache_stripes
-        self._skybands = StripedCache(cache_size, stripes=stripes, name="skyband")
-        self._utk1_cache = StripedCache(cache_size, stripes=stripes, name="utk1")
-        self._utk2_cache = StripedCache(cache_size, stripes=stripes, name="utk2")
-        self._traditional_skybands = StripedCache(cache_size, stripes=stripes,
+        self._stripes = int(stripes)
+        self._skybands = StripedCache(cache_size, stripes=self._stripes, name="skyband")
+        self._utk1_cache = StripedCache(cache_size, stripes=self._stripes, name="utk1")
+        self._utk2_cache = StripedCache(cache_size, stripes=self._stripes, name="utk2")
+        self._traditional_skybands = StripedCache(cache_size, stripes=self._stripes,
                                                   name="k_skyband")
         self.stats = EngineStatistics()
-        if parallel_workers < 0:
-            raise InvalidQueryError("parallel_workers must be non-negative")
+        self.update_stats = UpdateStatistics()
         self.parallel_workers = int(parallel_workers)
         self.parallel_min_candidates = int(parallel_min_candidates)
         self._pool = None
+        self._packed: tuple[int, dict] | None = None  # (generation, tree manifest)
 
     # ------------------------------------------------------------------ basic
     @property
@@ -230,13 +314,33 @@ class UTKEngine:
 
     @property
     def values(self) -> np.ndarray:
-        """The transformed ``(n, d)`` matrix the engine queries against."""
+        """The transformed matrix the engine queries, indexed by record id
+        (deleted rows stay in place, unreachable through the tree)."""
         return self._values
 
     @property
-    def tree(self) -> RTree | None:
-        """The shared R-tree (``None`` for datasets below the index threshold)."""
+    def tree(self):
+        """The shared R-tree (or the pre-built index passed as ``tree``)."""
         return self._tree
+
+    @property
+    def store(self) -> RecordStore:
+        """The backing record store (stable ids, tombstoned deletes)."""
+        return self._store
+
+    def active_ids(self) -> np.ndarray:
+        """Ids of the records currently in the dataset, ascending."""
+        return self._store.active_ids()
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, values)`` of the live dataset in the *transformed* space.
+
+        A fresh engine built from ``values`` (with the identity scoring —
+        the transform is already applied) answers in row positions;
+        ``ids[position]`` maps them back to this engine's stable ids.  The
+        exactness tests and the dynamic benchmark rebuild from exactly this.
+        """
+        return self._store.snapshot()
 
     def _check_region(self, region: Region) -> None:
         if region.dimension != self._values.shape[1] - 1:
@@ -374,9 +478,12 @@ class UTKEngine:
         return first if algorithm == "rsa" else second
 
     def close(self) -> None:
-        """Shut down the shared worker pool (idempotent; caches survive)."""
+        """Release the worker pool, the published tree, the store and a
+        temporary ``store_dir`` (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
+            self._packed = None
+            self._store.close()
         if pool is not None:
             pool.shutdown()
 
@@ -442,6 +549,306 @@ class UTKEngine:
                 return entry
         return None
 
+    # --------------------------------------------------------------- updates
+    def insert(self, row) -> int:
+        """Insert one record (raw attribute space); returns its stable id."""
+        return self.apply_updates([(OP_INSERT, row)])["inserted_ids"][0]
+
+    def delete(self, record_id: int) -> None:
+        """Delete the record with the given stable id."""
+        self.apply_updates([(OP_DELETE, record_id)])
+
+    def apply_updates(self, updates) -> dict:
+        """Apply a batch of updates, repairing caches surgically.
+
+        ``updates`` is an iterable of ``("insert", row)`` / ``("delete", id)``
+        pairs or of mappings ``{"op": "insert", "values": [...]}`` /
+        ``{"op": "delete", "id": ...}`` (the ``repro stream`` event shape).
+        Returns a report with the counters accumulated over this batch
+        (:meth:`UpdateStatistics.as_dict` keys) plus the ids assigned to
+        inserted records, in order.
+
+        The batch is validated before anything is applied (update shapes,
+        record dimensionality/finiteness, delete targets live through the
+        batch, an engine that can take updates at all), so a rejected batch
+        raises without mutating any state.
+        """
+        normalized = [self._normalize_update(update) for update in updates]
+        batch = UpdateStatistics()
+        inserted_ids: list[int] = []
+        with span("dynamic.apply_updates", updates=len(normalized)), self._lock:
+            self._validate_batch(normalized)
+            # Odd before the first mutation, even only after the last sweep:
+            # an in-flight query that began against the pre-update state
+            # must not write its (possibly stale) results into the caches.
+            self._update_seq += 1
+            try:
+                for op, payload in normalized:
+                    if op == OP_INSERT:
+                        inserted_ids.append(self._apply_insert(payload, batch))
+                        batch.inserts += 1
+                    else:
+                        self._apply_delete(payload, batch)
+                        batch.deletes += 1
+                    batch.updates_applied += 1
+            finally:
+                self._update_seq += 1
+                # Even if an update fails unexpectedly mid-batch, the engine
+                # counters must reflect the prefix that was applied.  The
+                # fold is atomic to statistics() readers on query threads.
+                with self._stats_lock:
+                    for field in dataclasses.fields(UpdateStatistics):
+                        setattr(self.update_stats, field.name,
+                                getattr(self.update_stats, field.name)
+                                + getattr(batch, field.name))
+                self._publish_maintenance(batch)
+        return {**batch.as_dict(), "inserted_ids": inserted_ids}
+
+    @staticmethod
+    def _publish_maintenance(batch: UpdateStatistics) -> None:
+        """Fold one batch's maintenance tallies into the registry schema.
+
+        The legacy ``UpdateStatistics`` keys map onto two labeled series:
+        ``inserts``/``deletes`` ↔ ``repro_maintenance_updates_total{op}`` and
+        ``entries_repaired``/``entries_noop``/``entries_evicted``/
+        ``results_retained`` ↔ ``repro_maintenance_outcomes_total{kind}``.
+        """
+        if not _obs._ENABLED:
+            return
+        _metric_names.MAINTENANCE_UPDATES.inc(batch.inserts, op="insert")
+        _metric_names.MAINTENANCE_UPDATES.inc(batch.deletes, op="delete")
+        _metric_names.MAINTENANCE_OUTCOMES.inc(batch.entries_repaired, kind="repaired")
+        _metric_names.MAINTENANCE_OUTCOMES.inc(batch.entries_noop, kind="noop")
+        _metric_names.MAINTENANCE_OUTCOMES.inc(batch.entries_evicted, kind="evicted")
+        _metric_names.MAINTENANCE_OUTCOMES.inc(batch.results_retained, kind="retained")
+
+    def validate_updates(self, updates) -> None:
+        """Run :meth:`apply_updates`'s up-front checks without applying.
+
+        Callers that must persist an update *before* applying it (the
+        serving tier's write-ahead log) use this to reject malformed events
+        first, so nothing unapplyable is ever written to the log.  Raises
+        exactly what :meth:`apply_updates` would have raised pre-mutation.
+        """
+        normalized = [self._normalize_update(update) for update in updates]
+        with self._lock:
+            self._validate_batch(normalized)
+
+    def _validate_batch(self, normalized: list[tuple[str, object]]) -> None:
+        """Reject a batch up front if any update could not be applied.
+
+        Simulates record liveness through the batch: a delete may target an
+        id that is active now or one the same batch inserts earlier; a
+        repeated or dead target raises :class:`KeyError` before any state
+        changed.  Insert rows are checked for shape and finiteness.
+        """
+        if self._read_only:
+            raise InvalidQueryError(
+                "this engine serves a pre-built read-only index and accepts no updates"
+            )
+        dimensionality = self._store.dimensionality
+        virtual_next = self._store.high_water
+        born: set[int] = set()
+        dead: set[int] = set()
+        for op, payload in normalized:
+            if op == OP_INSERT:
+                try:
+                    row = np.asarray(payload, dtype=float).reshape(-1)
+                except (TypeError, ValueError) as exc:
+                    raise InvalidQueryError(f"insert row is not numeric: {exc}") from exc
+                if row.shape[0] != dimensionality:
+                    raise InvalidQueryError(
+                        f"insert has {row.shape[0]} attributes, dataset holds {dimensionality}"
+                    )
+                if not np.all(np.isfinite(row)):
+                    raise InvalidQueryError("insert contains NaN or infinite values")
+                born.add(virtual_next)
+                virtual_next += 1
+            else:
+                try:
+                    record_id = int(payload)
+                except (TypeError, ValueError) as exc:
+                    raise InvalidQueryError(f"delete id is not an integer: {exc}") from exc
+                alive = (self._store.is_active(record_id) or record_id in born)
+                if not alive or record_id in dead:
+                    raise KeyError(f"record {record_id} is not active")
+                dead.add(record_id)
+
+    @staticmethod
+    def _normalize_update(update) -> tuple[str, object]:
+        if isinstance(update, dict):
+            op = update.get("op")
+            if op == OP_INSERT and "values" in update:
+                return OP_INSERT, update["values"]
+            if op == OP_DELETE and "id" in update:
+                return OP_DELETE, update["id"]
+        elif isinstance(update, tuple) and len(update) == 2 and update[0] in (
+            OP_INSERT, OP_DELETE
+        ):
+            return update
+        raise InvalidQueryError(
+            f"cannot interpret {update!r} as an update; expected "
+            "('insert', row) / ('delete', id) or the equivalent mapping"
+        )
+
+    def _apply_insert(self, raw_row, batch: UpdateStatistics) -> int:
+        row = np.asarray(raw_row, dtype=float).reshape(-1)
+        transformed = self.scoring.transform(row.reshape(1, -1))[0]
+        record_id = self._store.insert(transformed)
+        self._values = self._store.matrix
+        stored = self._store.row(record_id)
+        self._tree.insert(record_id, stored)
+
+        # Repair every cached skyband against the pre-update state first …
+        outcomes = {
+            key: (entry, repair_insert(entry.skyband, record_id, stored, entry.k))
+            for key, entry in self._skybands.scan()
+        }
+
+        # … classify cached results while the skyband caches still describe
+        # the pre-update dataset (the classification proofs need that state).
+        # The verdict depends on the entry only through its (signature, k)
+        # key, so utk1/utk2 twins share one donor lookup and dominance pass.
+        verdicts: dict = {}
+
+        def survives(key, entry) -> bool:
+            if key in verdicts:
+                return verdicts[key]
+            outcome = outcomes.get(key)
+            if outcome is not None:
+                verdict = not outcome[1].changed
+            else:
+                donor = self._find_containing(
+                    self._skybands, entry.region, entry.k, allow_larger_k=True
+                )
+                verdict = donor is not None and int(
+                    RDominance(donor.region)
+                    .dominators_mask(stored[None, :], donor.skyband.values)
+                    .sum()
+                ) >= entry.k
+            verdicts[key] = verdict
+            return verdict
+
+        self._sweep_results(survives, batch)
+        self._commit_skybands(outcomes, batch)
+
+        # Traditional (region-free) k-skybands: same membership test with
+        # traditional dominance; entries the record provably cannot join are
+        # kept, the rest evicted.
+        def unaffected(key_k, indices) -> bool:
+            rows = self._values[np.asarray(indices, dtype=int)]
+            return int(dominators_mask(stored[None, :], rows).sum()) >= key_k
+
+        batch.entries_evicted += self._traditional_skybands.evict_where(
+            lambda key_k, indices: not unaffected(key_k, indices)
+        )
+        return record_id
+
+    def _apply_delete(self, record_id, batch: UpdateStatistics) -> None:
+        record_id = int(record_id)
+        row = self._store.delete(record_id)  # raises KeyError when not active
+        self._values = self._store.matrix
+        self._tree.delete(record_id, row)
+
+        # The O(n) pool snapshot is only needed to re-filter skybands the
+        # deleted record was a member of; the common non-member delete
+        # never pays for it.
+        pool = None
+        outcomes = {}
+        for key, entry in self._skybands.scan():
+            if not entry.skyband.has_member(record_id):
+                outcomes[key] = (entry, SkybandRepair(entry.skyband, False, KIND_NOOP))
+                continue
+            if pool is None:
+                pool = self._store.snapshot()
+            outcomes[key] = (
+                entry,
+                repair_delete(
+                    entry.skyband, record_id, entry.k, pool_ids=pool[0], pool_rows=pool[1]
+                ),
+            )
+
+        verdicts: dict = {}
+
+        def survives(key, entry) -> bool:
+            if key in verdicts:
+                return verdicts[key]
+            outcome = outcomes.get(key)
+            if outcome is not None:
+                verdict = not outcome[1].changed
+            else:
+                donor = self._find_containing(
+                    self._skybands, entry.region, entry.k, allow_larger_k=True
+                )
+                # A containing skyband is a superset of the entry's: the
+                # deleted record being no member there proves it was no
+                # member here.
+                verdict = donor is not None and not donor.skyband.has_member(record_id)
+            verdicts[key] = verdict
+            return verdict
+
+        self._sweep_results(survives, batch)
+        self._commit_skybands(outcomes, batch)
+
+        batch.entries_evicted += self._traditional_skybands.evict_where(
+            lambda _key_k, indices: bool(np.any(np.asarray(indices, dtype=int) == record_id))
+        )
+
+    def _sweep_results(self, survives, batch: UpdateStatistics) -> None:
+        """Evict cached results an update may have invalidated; keep the rest."""
+        for cache in (self._utk1_cache, self._utk2_cache):
+            total = len(cache)
+            evicted = cache.evict_where(lambda key, entry: not survives(key, entry))
+            batch.entries_evicted += evicted
+            batch.results_retained += total - evicted
+
+    def _commit_skybands(self, outcomes: dict, batch: UpdateStatistics) -> None:
+        """Swap repaired skybands into the cache and tally the outcome kinds.
+
+        The swap is in place (:meth:`StripedCache.replace`, which also
+        advances the stripe's epoch): maintenance must not record phantom
+        cache hits or promote repaired entries over genuinely
+        recently-queried ones in the recency order.
+        """
+        for key, (entry, outcome) in outcomes.items():
+            if outcome.changed:
+                self._skybands.replace(
+                    key, _SkybandEntry(entry.region, entry.k, outcome.skyband)
+                )
+                batch.entries_repaired += 1
+            else:
+                batch.entries_noop += 1
+
+    # --------------------------------------------------------- worker access
+    def shared_descriptor(self) -> dict:
+        """Attachment descriptor for zero-copy query workers.
+
+        The store publishes the R-tree afresh when (and only when) an update
+        batch ran since the last publish, and retires the previous one —
+        late workers holding its mapping finish fine, new attachments of a
+        stale descriptor fail with :class:`FileNotFoundError` and retry
+        with a fresh descriptor (see :func:`repro.serve.workers.worker_query`).
+        The record buffer is already shared.
+        """
+        with self._lock:
+            # Even here: an update holds the engine lock while it is odd.
+            generation = self._update_seq
+            if self._packed is None or self._packed[0] != generation:
+                manifest = self._store.publish_tree(self._tree.flatten(), generation)
+                self._packed = (generation, manifest)
+            return {"generation": generation, "tree": self._packed[1],
+                    **self._store.worker_location()}
+
+    def shm_segment_names(self) -> list[str]:
+        """Every shared segment currently backing this engine, by name.
+
+        The serving front-end persists this set alongside the WAL (the shm
+        manifest) so a restart after ``SIGKILL`` can unlink the orphaned
+        segments the dead process never cleaned up.
+        """
+        with self._lock:
+            return self._store.segment_names()
+
     # ----------------------------------------------------------------- batch
     def run_batch(self, queries, *, workers: int | None = None) -> list:
         """Serve a sequence of queries, optionally across a thread pool.
@@ -462,12 +869,27 @@ class UTKEngine:
             "k_skyband": self._traditional_skybands.stats(),
         }
 
+    def stripe_epochs(self) -> dict[str, list[int]]:
+        """Per-cache, per-stripe epoch snapshot (for metrics export)."""
+        caches = (self._skybands, self._utk1_cache, self._utk2_cache,
+                  self._traditional_skybands)
+        return {name: cache.epochs() for name, cache in zip(CACHE_NAMES, caches)}
+
     def statistics(self) -> dict:
-        """Engine counters plus per-cache statistics, as one plain dict."""
+        """Engine, cache, update-maintenance and stripe counters as one dict."""
         with self._stats_lock:
-            merged = {"engine": self.stats.as_dict()}
-        merged.update(self.cache_stats())
-        return merged
+            engine = self.stats.as_dict()
+            dynamic = self.update_stats.as_dict()
+        return {
+            "engine": engine,
+            **self.cache_stats(),
+            "dynamic": dynamic,
+            "serve": {
+                "update_seq": self._update_seq,
+                "stripes": self._stripes,
+                "stripe_epochs": self.stripe_epochs(),
+            },
+        }
 
     def evict(self, *, region: Region | None = None, k: int | None = None,
               predicate=None) -> dict:
@@ -519,8 +941,3 @@ class UTKEngine:
             self._utk1_cache.clear()
             self._utk2_cache.clear()
             self._traditional_skybands.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        n, d = self._values.shape
-        return (f"UTKEngine(n={n}, d={d}, indexed={self._tree is not None}, "
-                f"queries={self.stats.queries})")

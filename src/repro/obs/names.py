@@ -217,10 +217,11 @@ WORKER_RESTARTS = REGISTRY.counter(
 )
 
 # ------------------------------------------------------------- maintenance
-#: Updates applied by the dynamic engine (UpdateStatistics.inserts/deletes).
+#: Updates applied by an engine's apply_updates (UpdateStatistics.
+#: inserts/deletes).
 MAINTENANCE_UPDATES = REGISTRY.counter(
     "repro_maintenance_updates_total",
-    "Dynamic-engine updates applied, by operation",
+    "Engine updates applied, by operation",
     ("op",),
 )
 

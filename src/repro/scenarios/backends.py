@@ -2,7 +2,7 @@
 
 Every backend replays the same scenario event list (queries, inserts,
 deletes) and reports its query answers in the *stable id space* — record ids
-that survive churn, assigned the way :class:`repro.dynamic.DynamicUTKEngine`
+that survive churn, assigned the way :class:`repro.engine.UTKEngine`
 assigns them (initial records ``0..n-1``, inserts take the next id, ids are
 never reused).  That shared contract is what makes answers comparable across
 backends and checkable against the SQL oracle:
@@ -13,8 +13,11 @@ backends and checkable against the SQL oracle:
   discard it (rebuild-per-update), queries enjoy result/skyband reuse;
 * ``parallel`` — the engine with the region-partitioned process pool
   enabled and a low routing threshold, so heavy queries fan out;
-* ``dynamic`` — a :class:`~repro.dynamic.engine.DynamicUTKEngine` absorbing
+* ``dynamic`` — one :class:`~repro.engine.engine.UTKEngine` absorbing
   updates in place with surgical cache repair;
+* ``colstore`` — the same engine over memory-mapped column files
+  (:class:`~repro.colstore.store.ColumnarRecordStore`), so a storage swap
+  that changed an answer would show;
 * ``serve`` — the serving tier end to end: a
   :class:`~repro.serve.engine.ServeEngine` behind the asyncio JSONL socket
   protocol, every event a real client round trip (striped caches, seqlock
@@ -227,12 +230,12 @@ class DynamicBackend:
     """Update-aware engine: in-place maintenance, surgical cache repair."""
 
     name = "dynamic"
-    description = "DynamicUTKEngine with incremental r-skyband repair"
+    description = "UTKEngine absorbing updates with incremental r-skyband repair"
 
     def _make_engine(self, data: Dataset):
-        from repro.dynamic import DynamicUTKEngine
+        from repro.engine import UTKEngine
 
-        return DynamicUTKEngine(data)
+        return UTKEngine(data)
 
     def run(self, data: Dataset, events: list[dict]) -> CellOutcome:
         from repro.dynamic import serve_events
@@ -265,22 +268,21 @@ class DynamicBackend:
 
 @register_backend
 class ColstoreBackend(DynamicBackend):
-    """The dynamic engine over memory-mapped columnar storage.
+    """The ``dynamic`` cell's engine over memory-mapped columnar storage.
 
     Identical event semantics to ``dynamic`` — only the record bytes move
     from RAM into a :class:`~repro.colstore.store.ColumnarRecordStore` in a
     temp directory the engine removes on close — so the SQL oracle checks
-    that the storage backend swap changes no answer.  One stripe keeps the
-    caches one LRU, as in the ``dynamic`` cell.
+    that the storage backend swap changes no answer.
     """
 
     name = "colstore"
-    description = "ServeEngine over a ColumnarRecordStore (mmap column files), one stripe"
+    description = "UTKEngine over a ColumnarRecordStore (mmap column files)"
 
     def _make_engine(self, data: Dataset):
-        from repro.serve import ServeEngine
+        from repro.engine import UTKEngine
 
-        return ServeEngine(data, store_backend="colstore", stripes=1)
+        return UTKEngine(data, store="colstore")
 
 
 @register_backend

@@ -221,6 +221,7 @@ class SharedRecordStore(RecordStore):
         # Set before super().__init__, which calls _allocate.
         self._segments: list[tuple[OwnedSegment, OwnedSegment]] = []
         self._retired: list[tuple[OwnedSegment, OwnedSegment]] = []
+        self._tree_segment: OwnedSegment | None = None
         super().__init__(values, capacity=capacity)
 
     def _allocate(self, size: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +243,12 @@ class SharedRecordStore(RecordStore):
         self._retired.append(pair)
 
     def segment_names(self) -> list[str]:
-        """Names of every *live* segment (retired mappings are unlinked)."""
-        return [segment.name for pair in self._segments for segment in pair]
+        """Names of every *live* segment, the published tree's included
+        (retired mappings are unlinked)."""
+        names = [segment.name for pair in self._segments for segment in pair]
+        if self._tree_segment is not None:
+            names.append(self._tree_segment.name)
+        return names
 
     def shared_location(self) -> dict:
         """Where the *current* value buffer lives: segment name plus shape."""
@@ -253,8 +258,24 @@ class SharedRecordStore(RecordStore):
             "shape": [int(s) for s in self._buffer.shape],
         }
 
+    def worker_location(self) -> dict:
+        return {"buffer": self.shared_location(), "count": int(self._count)}
+
+    def publish_tree(self, flat: dict, generation: int) -> dict:
+        """Pack the tree's arrays into a fresh segment; close the previous one."""
+        arrays = {key: value for key, value in flat.items() if isinstance(value, np.ndarray)}
+        meta = {"dimension": flat["dimension"], "size": flat["size"]}
+        segment, manifest = pack_arrays(arrays, meta=meta)
+        previous, self._tree_segment = self._tree_segment, segment
+        if previous is not None:
+            previous.close()
+        return manifest
+
     def close(self) -> None:
         """Unlink every segment this store ever created (idempotent)."""
+        tree, self._tree_segment = self._tree_segment, None
+        if tree is not None:
+            tree.close()
         for pair in self._segments + self._retired:
             for segment in pair:
                 segment.close()

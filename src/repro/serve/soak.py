@@ -8,8 +8,7 @@ server's update-sequence window ``[lo, hi]`` — updates finished at
 admission, updates started at completion.
 
 The oracle then replays the updates *serially* through a fresh
-:class:`~repro.dynamic.engine.DynamicUTKEngine` built from the same initial
-dataset, and accepts a concurrent answer iff it exactly matches the serial
+:class:`~repro.engine.engine.UTKEngine` built from the same initial dataset, and accepts a concurrent answer iff it exactly matches the serial
 answer at **some** update prefix within the query's window.  An answer that
 matches no admissible prefix is *stale* — it could only have come from a
 cache entry the maintenance sweep should have repaired or evicted — and the
@@ -243,7 +242,7 @@ def run_soak(
 def _check_serial(data, updates: list[dict], obligations: list[_Obligation]
                   ) -> tuple[list[dict], dict]:
     """Replay updates serially; match each answer to a prefix in its window."""
-    from repro.dynamic.engine import DynamicUTKEngine
+    from repro.engine import UTKEngine
 
     region_memo: dict[tuple, Region] = {}
 
@@ -258,7 +257,7 @@ def _check_serial(data, updates: list[dict], obligations: list[_Obligation]
     for obligation in obligations:  # a window beyond the applied range clamps
         obligation.hi = min(obligation.hi, total)
 
-    engine = DynamicUTKEngine(data)
+    engine = UTKEngine(data)
     try:
         for prefix in range(total + 1):
             for obligation in obligations:

@@ -3,7 +3,7 @@
 :func:`worker_query` is the function a serving process ships to its query
 worker pool.  Instead of pickling the record matrix and rebuilding an R-tree
 per spawn (the ``repro.parallel`` cold-start cost), a worker *attaches* the
-segments named by the engine's :meth:`~repro.serve.engine.ServeEngine.\
+segments named by the engine's :meth:`~repro.engine.engine.UTKEngine.\
 shared_descriptor` — O(1) regardless of dataset size — and traverses the
 packed tree in place.  Attachments are memoized per process and keyed by the
 descriptor's generation, so a long-lived worker re-attaches only when the

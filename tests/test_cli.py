@@ -70,7 +70,8 @@ class TestBatchCommand:
         assert report["sources"].get("hit") == 1
         assert report["sources"].get("containment") == 2
         assert report["sources"].get("cold") == 1
-        assert set(report["cache"]) == {"engine", "skyband", "utk1", "utk2", "k_skyband"}
+        assert set(report["cache"]) == {"engine", "skyband", "utk1", "utk2", "k_skyband",
+                                        "dynamic", "serve"}
         assert report["results"][0]["utk1"]["records"]
         assert report["results"][1]["utk2"]["partitions"] >= 1
 

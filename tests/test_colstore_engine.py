@@ -69,6 +69,41 @@ class TestMakeEngine:
             make_engine(data, store="rocksdb")
 
 
+class TestReadOnlyEngine:
+    @pytest.fixture(params=["built", "attached"])
+    def engine(self, request, tmp_path, data):
+        built = make_engine(data, store="colstore", store_dir=tmp_path)
+        engine = built if request.param == "built" else make_engine(
+            None, store="colstore", store_dir=tmp_path)
+        yield engine
+        engine.close()
+        built.close()
+
+    def test_updates_are_rejected_atomically(self, engine, tmp_path, data):
+        engine.utk2(region(), 2)
+        manifest = (tmp_path / "manifest.json").read_text()
+        caches = (engine._skybands, engine._utk1_cache, engine._utk2_cache)
+
+        def state():
+            return (engine.update_seq, engine.statistics(),
+                    [[key for key, _ in cache.scan()] for cache in caches])
+
+        before = state()
+        for attempt in (
+            lambda: engine.apply_updates([("insert", [0.5, 0.5, 0.5])]),
+            lambda: engine.validate_updates([("delete", 0)]),
+            lambda: engine.insert([0.5, 0.5, 0.5]),
+            lambda: engine.delete(0),
+        ):
+            with pytest.raises(InvalidQueryError, match="read-only"):
+                attempt()
+        assert state() == before
+        assert (tmp_path / "manifest.json").read_text() == manifest
+        assert engine.serve_utk2(region(), 2)[1] == "hit"
+        expected = make_engine(data).utk1(region(), 3).indices
+        assert engine.utk1(region(), 3).indices == expected
+
+
 class TestThreadedBatch:
     def test_threads_share_the_buffer_pool_safely(self, tmp_path):
         """Cold filterings of a threaded batch all page through one
@@ -76,7 +111,7 @@ class TestThreadedBatch:
         pool and a tiny switch interval make an unserialized traversal
         corrupt the pool (KeyError, broken stats) in most rounds."""
         data = synthetic_dataset("IND", 5000, 3, seed=8)
-        values, tree = attach_engine_inputs(data, tmp_path, pool_pages=4)
+        store, tree = attach_engine_inputs(data, tmp_path, pool_pages=4)
         rng = np.random.default_rng(8)
         lowers = rng.uniform(0.05, 0.45, size=(40, 2))
         queries = [(hyperrectangle(lower, lower + 0.02), 3) for lower in lowers]
@@ -84,7 +119,7 @@ class TestThreadedBatch:
         sys.setswitchinterval(1e-5)
         try:
             # Each round is a fresh engine, so every query filters cold.
-            rounds = [UTKEngine(values, tree=tree).run_batch(queries, workers=4)
+            rounds = [UTKEngine(None, store=store, tree=tree).run_batch(queries, workers=4)
                       for _ in range(4)]
         finally:
             sys.setswitchinterval(interval)
@@ -97,7 +132,7 @@ class TestThreadedBatch:
 
 class TestServeColstore:
     def test_worker_answers_match_engine(self, tmp_path, data):
-        engine = ServeEngine(data, store_backend="colstore", store_dir=tmp_path)
+        engine = ServeEngine(data, store="colstore", store_dir=tmp_path)
         try:
             descriptor = engine.shared_descriptor()
             assert descriptor["kind"] == "colstore"
@@ -117,7 +152,7 @@ class TestServeColstore:
             engine.close()
 
     def test_descriptor_tracks_updates_and_goes_stale(self, tmp_path, data):
-        engine = ServeEngine(data, store_backend="colstore", store_dir=tmp_path)
+        engine = ServeEngine(data, store="colstore", store_dir=tmp_path)
         try:
             before = engine.shared_descriptor()
             # Enough inserts to outgrow the initial capacity generation.
@@ -139,7 +174,7 @@ class TestServeColstore:
             engine.close()
 
     def test_temporary_store_dir_is_cleaned_up(self, data):
-        engine = ServeEngine(data, store_backend="colstore")
+        engine = ServeEngine(data, store="colstore")
         directory = engine.shared_descriptor()["buffer"]["directory"]
         import os
         assert os.path.isdir(directory)
@@ -149,11 +184,11 @@ class TestServeColstore:
 
     def test_unknown_backend_is_rejected(self, data):
         with pytest.raises(InvalidQueryError, match="backend"):
-            ServeEngine(data, store_backend="lsm")
+            ServeEngine(data, store="lsm")
 
 
 class TestMatrixBackend:
-    def test_colstore_backend_is_registered(self):
+    def test_colstore_cell_is_registered(self):
         assert "colstore" in BACKENDS
 
     def test_agrees_with_serial_on_churn_scenario(self):

@@ -1,15 +1,19 @@
-"""Tests of the dynamic subsystem: store, skyband repair, DynamicUTKEngine.
+"""Tests of the dynamic subsystem: store, skyband repair, engine updates.
 
 The headline property — checked with hypothesis across random datasets,
-regions, ``k`` and interleaved update/query streams — is exactness: every
-repaired skyband equals a from-scratch recomputation over the updated
-dataset, and every ``DynamicUTKEngine`` answer equals a fresh engine rebuilt
-from the post-update records (with stable ids mapped through ``snapshot``).
+regions, ``k``, record stores and interleaved update/query streams — is
+exactness: every repaired skyband equals a from-scratch recomputation over
+the updated dataset, and every answer of an updated ``UTKEngine`` equals a
+fresh engine rebuilt from the post-update records (with stable ids mapped
+through ``snapshot``).
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.region import hyperrectangle
@@ -19,7 +23,6 @@ from repro.dynamic import (
     KIND_NOOP,
     KIND_PATCHED,
     KIND_REFILTERED,
-    DynamicUTKEngine,
     RecordStore,
     repair_delete,
     repair_insert,
@@ -195,13 +198,23 @@ def fingerprints(engine, region, k):
     )
 
 
+STORES = ("memory", "shm", "colstore")
+
+
 class TestDynamicEngine:
     @common_settings
-    @given(seed=st.integers(0, 10_000), d=st.integers(2, 3))
-    def test_stream_answers_equal_rebuild(self, seed, d):
+    @given(seed=st.integers(0, 10_000), d=st.integers(2, 3), store=st.sampled_from(STORES))
+    @example(seed=1, d=3, store="memory")
+    @example(seed=2, d=3, store="shm")
+    @example(seed=3, d=2, store="colstore")
+    def test_stream_answers_equal_rebuild(self, seed, d, store):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 40))
-        engine = DynamicUTKEngine(rng.random((n, d)), cache_size=16)
+        with UTKEngine(rng.random((n, d)), cache_size=16, store=store) as engine:
+            self._check_stream(engine, rng, d)
+
+    @staticmethod
+    def _check_stream(engine, rng, d):
         for _ in range(10):
             roll = rng.random()
             if roll < 0.3:
@@ -225,7 +238,7 @@ class TestDynamicEngine:
 
     def test_unaffected_update_keeps_result_cache_warm(self):
         data = synthetic_dataset("IND", 400, 3, seed=2)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         region = hyperrectangle([0.2, 0.2], [0.4, 0.4])
         first = engine.utk1(region, 2)
         # A record dominated by everything cannot enter any r-skyband.
@@ -239,7 +252,7 @@ class TestDynamicEngine:
 
     def test_skyband_changing_insert_evicts_result(self):
         data = synthetic_dataset("IND", 300, 3, seed=3)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         region = hyperrectangle([0.2, 0.2], [0.4, 0.4])
         engine.utk1(region, 2)
         # A record dominating everything must enter every r-skyband.
@@ -253,7 +266,7 @@ class TestDynamicEngine:
 
     def test_delete_member_refilters_and_stays_exact(self):
         data = synthetic_dataset("IND", 300, 3, seed=4)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         region = hyperrectangle([0.2, 0.2], [0.4, 0.4])
         result = engine.utk1(region, 3)
         victim = result.indices[0]
@@ -264,15 +277,42 @@ class TestDynamicEngine:
         assert repaired.indices == want1
 
     def test_update_statistics_accumulate(self):
-        engine = DynamicUTKEngine(np.random.default_rng(5).random((50, 3)))
+        engine = UTKEngine(np.random.default_rng(5).random((50, 3)))
         engine.insert(np.full(3, 0.5))
         engine.delete(0)
         stats = engine.statistics()["dynamic"]
         assert stats["updates_applied"] == 2
         assert stats["inserts"] == 1 and stats["deletes"] == 1
 
+    def test_statistics_snapshot_is_never_torn(self):
+        """statistics() on a query thread races apply_updates; every
+        snapshot must show a whole number of folded batches."""
+        engine = UTKEngine(np.random.default_rng(23).random((40, 3)), cache_size=4)
+        stop = threading.Event()
+        torn: list[dict] = []
+
+        def read() -> None:
+            while not stop.is_set():
+                stats = engine.statistics()["dynamic"]
+                if stats["updates_applied"] != stats["inserts"] + stats["deletes"]:
+                    torn.append(stats)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for step in range(300):
+                engine.delete(engine.insert(np.full(3, 0.5 + step / 1000)))
+        finally:
+            stop.set()
+            reader.join()
+            sys.setswitchinterval(interval)
+        assert torn == []
+        assert engine.statistics()["dynamic"]["updates_applied"] == 600
+
     def test_traditional_skyband_cache_is_maintained(self):
-        engine = DynamicUTKEngine(np.random.default_rng(6).random((200, 3)))
+        engine = UTKEngine(np.random.default_rng(6).random((200, 3)))
         baseline = engine.k_skyband(2)
         engine.apply_updates([("insert", np.zeros(3))])  # dominated: no-op
         assert np.array_equal(engine.k_skyband(2), baseline)
@@ -283,7 +323,7 @@ class TestDynamicEngine:
 
     def test_maintenance_does_not_inflate_cache_hit_statistics(self):
         data = synthetic_dataset("IND", 200, 3, seed=21)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         region = hyperrectangle([0.2, 0.2], [0.4, 0.4])
         engine.utk1(region, 2)
         hits_before = engine.cache_stats()["skyband"]["hits"]
@@ -292,7 +332,7 @@ class TestDynamicEngine:
         assert engine.cache_stats()["skyband"]["hits"] == hits_before
 
     def test_rejects_malformed_updates(self):
-        engine = DynamicUTKEngine(np.random.default_rng(7).random((10, 2)))
+        engine = UTKEngine(np.random.default_rng(7).random((10, 2)))
         with pytest.raises(InvalidQueryError):
             engine.apply_updates([("upsert", [0.1, 0.2])])
         with pytest.raises(InvalidQueryError):
@@ -301,7 +341,7 @@ class TestDynamicEngine:
             engine.delete(999)
 
     def test_malformed_batch_is_rejected_atomically(self):
-        engine = DynamicUTKEngine(np.random.default_rng(22).random((10, 2)))
+        engine = UTKEngine(np.random.default_rng(22).random((10, 2)))
         before = engine.statistics()["dynamic"]
         with pytest.raises(KeyError):  # valid insert followed by a dead delete
             engine.apply_updates([("insert", [0.5, 0.5]), ("delete", 999)])
@@ -317,7 +357,7 @@ class TestDynamicEngine:
         assert len(engine.store) == 10
 
     def test_delete_everything_then_query_and_refill(self):
-        engine = DynamicUTKEngine(np.random.default_rng(8).random((5, 3)))
+        engine = UTKEngine(np.random.default_rng(8).random((5, 3)))
         for record_id in list(engine.active_ids()):
             engine.delete(int(record_id))
         region = hyperrectangle([0.2, 0.2], [0.4, 0.4])
@@ -331,7 +371,7 @@ class TestServeEvents:
     def test_mixed_event_stream_round_trip(self):
         data = synthetic_dataset("IND", 200, 3, seed=9)
         events = update_stream(data, 20, seed=9)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         reports = serve_events(engine, events)
         assert len(reports) == len(events)
         for event, report in zip(events, reports):
@@ -343,13 +383,13 @@ class TestServeEvents:
                 assert "id" in report
 
     def test_region_objects_accepted(self):
-        engine = DynamicUTKEngine(np.random.default_rng(10).random((30, 3)))
+        engine = UTKEngine(np.random.default_rng(10).random((30, 3)))
         region = hyperrectangle([0.1, 0.1], [0.3, 0.3])
         reports = serve_events(engine, [{"op": "query", "region": region, "k": 1}])
         assert reports[0]["utk1"]["records"]
 
     def test_rejects_unknown_ops_and_versions(self):
-        engine = DynamicUTKEngine(np.random.default_rng(11).random((10, 2)))
+        engine = UTKEngine(np.random.default_rng(11).random((10, 2)))
         with pytest.raises(InvalidQueryError):
             serve_events(engine, [{"op": "noop"}])
         with pytest.raises(InvalidQueryError):
@@ -393,7 +433,7 @@ class TestUpdateStream:
     def test_stream_replays_on_engine(self):
         data = synthetic_dataset("IND", 150, 3, seed=14)
         events = update_stream(data, 30, insert_prob=0.25, delete_prob=0.25, seed=14)
-        engine = DynamicUTKEngine(data)
+        engine = UTKEngine(data)
         serve_events(engine, events)  # deletes reference valid live ids throughout
 
     def test_rejects_bad_parameters(self):

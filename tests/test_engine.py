@@ -198,8 +198,11 @@ class TestEngineAccounting:
     def test_statistics_shape(self):
         engine = UTKEngine(random_dataset(6))
         merged = engine.statistics()
-        assert set(merged) == {"engine", "skyband", "utk1", "utk2", "k_skyband"}
+        assert set(merged) == {"engine", "skyband", "utk1", "utk2", "k_skyband",
+                               "dynamic", "serve"}
         assert merged["engine"]["queries"] == 0
+        assert merged["dynamic"]["updates_applied"] == 0
+        assert merged["serve"]["stripes"] == 1
 
     def test_invalid_queries_rejected(self):
         engine = UTKEngine(random_dataset(7))
@@ -288,6 +291,22 @@ class TestEngineCorrectness:
         assert utk2(data, region, 2, engine=engine).distinct_top_k_sets == \
             utk2(data, region, 2).distinct_top_k_sets
         assert engine.stats.queries == 2
+
+
+# ------------------------------------------------------------ always indexed
+class TestSmallEngines:
+    @pytest.mark.parametrize("n", [0, 1, 30, 200, 512])
+    def test_indexed_engine_matches_brute_force_api(self, n):
+        """Every engine filters over an R-tree, however small its dataset;
+        at these sizes the one-shot API filters by brute force instead."""
+        values = np.random.default_rng(n).random((n, 3))
+        engine = UTKEngine(values)
+        assert len(engine.tree) == n
+        for lower, k in (([0.1, 0.1], 1), ([0.2, 0.15], 3), ([0.05, 0.3], 5)):
+            region = hyperrectangle(lower, np.add(lower, 0.12))
+            assert engine.utk1(region, k).indices == utk1(values, region, k).indices
+            assert engine.utk2(region, k).distinct_top_k_sets == \
+                utk2(values, region, k).distinct_top_k_sets
 
 
 # ---------------------------------------------------------------------- batch

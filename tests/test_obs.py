@@ -17,7 +17,6 @@ from repro.cli import main
 from repro.core.region import hyperrectangle
 from repro.core.scoring import LinearScoring
 from repro.datasets.synthetic import synthetic_dataset
-from repro.dynamic import DynamicUTKEngine
 from repro.engine import UTKEngine
 from repro.engine.cache import LRUCache
 from repro.index.rtree import RTree
@@ -310,7 +309,7 @@ class TestInstrumentedSubsystems:
 
     def test_dynamic_maintenance_counters(self):
         rng = np.random.default_rng(11)
-        engine = DynamicUTKEngine(rng.random((120, 3)), cache_size=8)
+        engine = UTKEngine(rng.random((120, 3)), cache_size=8)
         try:
             region = hyperrectangle([0.25, 0.25], [0.4, 0.4])
             engine.utk1(region, 2)  # warm a cache entry for maintenance to visit

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.region import hyperrectangle
 from repro.datasets.synthetic import synthetic_dataset, update_stream
-from repro.dynamic.engine import DynamicUTKEngine
+from repro.engine import UTKEngine
 from repro.resilience.chaos import ServerProcess, run_chaos, shm_leftovers
 from repro.resilience.recovery import read_shm_manifest
 from repro.resilience.retry import CHAOS_RETRY
@@ -71,7 +71,7 @@ class TestSigkillRecovery:
                 answer = client.query([0.1, 0.1], [0.4, 0.4], 2)
                 assert answer["seq"]["lo"] == len(_UPDATES)
 
-            serial = DynamicUTKEngine(data)
+            serial = UTKEngine(data)
             try:
                 serial.apply_updates(_UPDATES)
                 region = hyperrectangle([0.1, 0.1], [0.4, 0.4])

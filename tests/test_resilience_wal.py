@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.region import hyperrectangle
 from repro.datasets.synthetic import synthetic_dataset
-from repro.dynamic.engine import DynamicUTKEngine
+from repro.engine import UTKEngine
 from repro.resilience.recovery import (
     cleanup_orphan_segments,
     read_shm_manifest,
@@ -195,7 +195,7 @@ class TestRecover:
         wal.close()
 
         result = recover(data, wal_dir)
-        serial = DynamicUTKEngine(data)
+        serial = UTKEngine(data)
         try:
             serial.apply_updates(_UPDATES)
             assert result.replayed == len(_UPDATES)

@@ -1,11 +1,12 @@
-"""ServeEngine: striped/seqlock plumbing must not change a single answer.
+"""The serving tier's engine: stores and stripes must not change an answer.
 
-Equivalence suite for the serving-tier engine against its parent
-:class:`~repro.dynamic.engine.DynamicUTKEngine`: identical answers on a
+Equivalence suite for :class:`~repro.engine.engine.UTKEngine` across its
+record stores (memory, shm, colstore) and the serving tier's striped
+defaults (:class:`~repro.serve.engine.ServeEngine`): identical answers on a
 churn stream, identical packed-tree traversals, identical worker answers
 through the shared-memory descriptor, and the seqlock write-guard semantics
-(odd sequence and overlapping updates both veto a cache publish) on both
-update-aware engines, which share the one guarded query path.
+(odd sequence and overlapping updates both veto a cache publish) over every
+store, which all share the one guarded query path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from repro.core.records import Dataset
 from repro.core.region import hyperrectangle
 from repro.core.rskyband import compute_r_skyband
 from repro.datasets.synthetic import synthetic_dataset, update_stream
-from repro.dynamic.engine import DynamicUTKEngine, serve_events
+from repro.dynamic.engine import serve_events
+from repro.engine import UTKEngine
 from repro.engine.cache import StripedCache
+from repro.engine.engine import CACHE_NAMES
 from repro.index.rtree import RTree
-from repro.serve.engine import CACHE_NAMES, ServeEngine
+from repro.serve.engine import ServeEngine
 from repro.serve.packed import PackedRTree
 from repro.serve.workers import reset_worker_state, worker_query
 
@@ -28,6 +31,9 @@ from repro.serve.workers import reset_worker_state, worker_query
 @pytest.fixture
 def data():
     return synthetic_dataset("IND", 90, 3, seed=5)
+
+
+STORES = ("memory", "shm", "colstore")
 
 
 @pytest.fixture
@@ -46,9 +52,10 @@ def canonical(report: dict) -> dict:
 
 
 class TestChurnEquivalence:
-    def test_serve_events_matches_dynamic_engine(self, data, stream):
-        dynamic = DynamicUTKEngine(data)
-        serving = ServeEngine(data, stripes=4)
+    @pytest.mark.parametrize("store", STORES)
+    def test_serve_events_match_across_stores(self, data, stream, store):
+        dynamic = UTKEngine(data)
+        serving = ServeEngine(data, stripes=4, store=store)
         try:
             expected = serve_events(dynamic, stream)
             actual = serve_events(serving, stream)
@@ -184,9 +191,9 @@ class TestSharedDescriptor:
 
 
 class TestSeqlockGuard:
-    @pytest.fixture(params=[DynamicUTKEngine, ServeEngine], ids=["dynamic", "serve"])
+    @pytest.fixture(params=STORES)
     def engine(self, request, data):
-        engine = request.param(data)
+        engine = UTKEngine(data, store=request.param)
         yield engine
         engine.close()
 
@@ -219,7 +226,7 @@ class TestSeqlockGuard:
         """Interleaved queries and updates still match a serial engine."""
         data = Dataset(np.random.default_rng(11).uniform(0, 10, size=(70, 3)))
         serving = ServeEngine(data, stripes=4)
-        reference = DynamicUTKEngine(data)
+        reference = UTKEngine(data)
         region = hyperrectangle([0.15, 0.15], [0.35, 0.35])
         try:
             for step in range(6):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.region import hyperrectangle
 from repro.datasets.synthetic import synthetic_dataset, update_stream
-from repro.dynamic.engine import DynamicUTKEngine
+from repro.engine import UTKEngine
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import ServeEngine
 from repro.serve.server import ServerThread
@@ -172,7 +172,7 @@ class TestSharedWorkers:
                 assert second["seq"]["lo"] == 1
         finally:
             thread.stop(timeout=60)
-        reference = DynamicUTKEngine(data)
+        reference = UTKEngine(data)
         try:
             region = hyperrectangle(*region_args)
             before = sorted(int(i) for i in reference.utk1(region, 2).indices)
