@@ -691,7 +691,7 @@ def _run_inspect(args: argparse.Namespace) -> int:
             "pages": int(tree.meta["n_pages"]),
             "leaves": int(tree.meta["n_leaves"]),
             "height": tree.height(),
-            "fanout": tree.fanout,
+            "fanout": tree.max_entries,
             "fill_factor": round(tree.fill_factor(), 4),
             "page_size": int(tree.meta["page_size"]),
             "resident_pages": tree.pool.resident(),

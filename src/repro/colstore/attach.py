@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.colstore.bulkload import DEFAULT_BUDGET_ROWS, build_paged_rtree
-from repro.colstore.pages import DEFAULT_FANOUT, PagedRTree
+from repro.colstore.pages import DEFAULT_FANOUT, PagedRTree, build_paged_rtree
 from repro.colstore.store import ColumnarRecordStore
 from repro.exceptions import StorageError
+from repro.index.pages import DEFAULT_BUDGET_ROWS
 
 #: Page-file name of the store-resident index built by :func:`materialize`.
 INDEX_NAME = "rtree.pages"

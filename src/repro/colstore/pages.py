@@ -1,28 +1,24 @@
-"""Paged on-disk R-tree nodes with a pinning LRU buffer pool.
+"""Page files of the R-tree, a pinning LRU buffer pool and the paged reader.
 
-The serve tier traverses :class:`~repro.serve.packed.PackedRTree` over flat
-arrays in shared memory; at 10M+ records those arrays should live on disk.
-This module stores one R-tree node per fixed-size **page** in a single file:
+The R-tree has one page format (:mod:`repro.index.pages`), and a page file
+is that page array on disk, root at page 0, with a ``.meta.json`` sidecar:
 
-* :func:`page_dtype` defines the page layout — a small header (leaf flag,
-  entry/child count), the node MBB, then ``fanout`` child page ids (internal
-  nodes) or record ids (leaves), padded to a power-of-two page size;
-* :func:`write_pages` serializes any :meth:`RTree.flatten`-shaped mapping
-  (BFS order, page id = node position, root = page 0) in streaming chunks,
-  so the arrays may be memmaps far larger than RAM;
+* :func:`build_paged_rtree` streams the STR loader's pages straight into a
+  file, so a store far larger than RAM gets its index without the tree ever
+  being in memory; :func:`write_pages` writes a page array that is already
+  in memory, such as an engine's :attr:`~repro.index.rtree.RTree.pages`;
 * :class:`BufferPool` owns the resident page set: bounded capacity, LRU
   eviction of unpinned frames, pin/unpin accounting, and hit/miss/eviction
   stats published as ``repro_bufferpool_events_total`` and
   ``repro_bufferpool_resident_pages`` while observability is enabled.
   Pinned pages are never evicted; requesting a page while every frame is
   pinned raises :class:`~repro.exceptions.StorageError`;
-* :class:`PagedRTree` answers the tree read contract of ``RTree`` and
-  ``PackedRTree`` (``dimension``, ``read_root``, ``read_node``,
-  ``count_access``), so BBS, top-k and the skyband layers run unchanged over
-  a tree that is read page by page through the pool.  A node read is one
-  pin of its page.  An internal page's frame keeps its children's ids and
-  MBB top corners once they have been looked up, so expanding a resident
-  internal page again does no child lookups; the cache costs
+* :class:`PagedRTree` is the :class:`~repro.index.rtree.RTree` reader over a
+  page file, with the pages fetched through the pool, so BBS, top-k and the
+  skyband layers run unchanged over a tree read page by page.  A node read
+  is one pin of its page.  An internal page's frame keeps its children's ids
+  and MBB top corners once they have been looked up, so expanding a
+  resident internal page again does no child lookups; the cache costs
   ``fanout x d x 8`` bytes (plus the id list) per resident internal frame
   (64 x 3 x 8 = 1.5 KiB at the defaults) and leaves with the frame on
   eviction.  Leaf rows are read from the record buffer, never cached.
@@ -39,15 +35,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import StorageError
-from repro.index.rtree import ACCESS_OPS
+from repro.index.pages import DEFAULT_BUDGET_ROWS, PAGE_SCHEMA, str_load
+from repro.index.rtree import RTree
 from repro.obs import runtime as _obs
 
-#: On-disk page-file schema version (bump on incompatible layout changes).
-PAGE_SCHEMA = 1
-
-#: Default fanout of pages written from a streaming bulk load.  Larger than
-#: the in-memory tree's 16 on purpose: a page is one I/O unit, so filling it
-#: lowers tree height (10M records, d=3 → height 4).
+#: Default fanout of page files built by :func:`build_paged_rtree`.  Larger
+#: than the in-memory tree's 16 on purpose: a page is one I/O unit, so
+#: filling it lowers tree height (10M records, d=3 → height 4).
 DEFAULT_FANOUT = 64
 
 #: Default resident-set bound of a :class:`BufferPool`, in pages.
@@ -56,109 +50,15 @@ DEFAULT_POOL_PAGES = 1024
 META_SUFFIX = ".meta.json"
 
 
-def page_dtype(d: int, fanout: int, page_size: int | None = None):
-    """The structured dtype of one page and the padded page size in bytes.
+def write_pages(path, chunks, meta: dict) -> dict:
+    """Write a page array, given as consecutive chunks, as a page file + meta.
 
-    Layout: ``u8`` header (leaf flag, pad, ``u16`` count, pad), ``2*d`` f64
-    MBB corners, ``fanout`` i64 ids, zero-padded to ``page_size`` (default:
-    the next power of two ≥ the payload, at least 256 bytes).
+    Returns ``meta``, also persisted as ``<path>.meta.json`` (replaced
+    atomically once the pages are written).
     """
-    d = max(int(d), 1)
-    fields = [
-        ("is_leaf", "u1"),
-        ("_pad0", "u1"),
-        ("count", "<u2"),
-        ("_pad1", "<u4"),
-        ("lower", "<f8", (d,)),
-        ("upper", "<f8", (d,)),
-        ("ids", "<i8", (int(fanout),)),
-    ]
-    payload = np.dtype(fields).itemsize
-    if page_size is None:
-        page_size = 1 << max(8, (payload - 1).bit_length())
-    page_size = int(page_size)
-    if page_size < payload:
-        raise StorageError(
-            f"page_size {page_size} cannot hold d={d}, fanout={fanout} ({payload} bytes)"
-        )
-    if page_size > payload:
-        fields.append(("_tail", f"V{page_size - payload}"))
-    return np.dtype(fields), page_size
-
-
-def _tree_height(flat: dict) -> int:
-    position, height = 0, 1
-    while not bool(flat["node_is_leaf"][position]):
-        position = int(flat["child_nodes"][int(flat["node_first"][position])])
-        height += 1
-    return height
-
-
-def write_pages(
-    path,
-    flat: dict,
-    *,
-    fanout: int | None = None,
-    page_size: int | None = None,
-    chunk_pages: int = 8192,
-) -> dict:
-    """Write a :meth:`RTree.flatten`-shaped mapping as a page file + meta.
-
-    ``flat`` arrays may be memmaps: pages are assembled and written in
-    chunks of ``chunk_pages``, so peak memory is O(chunk), never O(tree).
-    Returns the meta mapping, also persisted as ``<path>.meta.json``.
-    """
-    path = Path(path)
-    node_count = np.asarray(flat["node_count"])
-    node_first = np.asarray(flat["node_first"])
-    node_is_leaf = np.asarray(flat["node_is_leaf"])
-    m = node_count.shape[0]
-    max_count = int(node_count.max()) if m else 0
-    fanout = int(fanout) if fanout is not None else max(max_count, 2)
-    if max_count > fanout:
-        raise StorageError(f"node with {max_count} entries exceeds fanout {fanout}")
-    dtype, page_size = page_dtype(flat["dimension"], fanout, page_size)
-    child_nodes = flat["child_nodes"]
-    entry_ids = flat["entry_ids"]
-    n_leaves = 0
     with open(path, "wb") as handle:
-        for start in range(0, m, chunk_pages):
-            stop = min(start + chunk_pages, m)
-            chunk = np.zeros(stop - start, dtype=dtype)
-            chunk["is_leaf"] = node_is_leaf[start:stop]
-            chunk["count"] = node_count[start:stop]
-            chunk["lower"] = flat["node_lower"][start:stop]
-            chunk["upper"] = flat["node_upper"][start:stop]
-            chunk["ids"].fill(-1)
-            counts = node_count[start:stop]
-            total = int(counts.sum())
-            if total:
-                rows = np.repeat(np.arange(stop - start), counts)
-                offsets = np.cumsum(counts) - counts
-                within = np.arange(total) - np.repeat(offsets, counts)
-                source = np.repeat(node_first[start:stop], counts) + within
-                leaf_rows = node_is_leaf[start:stop][rows]
-                if leaf_rows.any():
-                    chunk["ids"][rows[leaf_rows], within[leaf_rows]] = np.asarray(
-                        entry_ids[source[leaf_rows]]
-                    )
-                inner = ~leaf_rows
-                if inner.any():
-                    chunk["ids"][rows[inner], within[inner]] = np.asarray(
-                        child_nodes[source[inner]]
-                    )
-            n_leaves += int(np.count_nonzero(node_is_leaf[start:stop]))
+        for chunk in chunks:
             chunk.tofile(handle)
-    meta = {
-        "schema": PAGE_SCHEMA,
-        "dimension": int(flat["dimension"]),
-        "size": int(flat["size"]),
-        "fanout": fanout,
-        "page_size": page_size,
-        "n_pages": int(m),
-        "n_leaves": n_leaves,
-        "height": _tree_height(flat) if m else 0,
-    }
     meta_path = Path(str(path) + META_SUFFIX)
     temp = meta_path.with_suffix(".tmp")
     with open(temp, "w", encoding="utf-8") as handle:
@@ -166,6 +66,28 @@ def write_pages(
         handle.write("\n")
     os.replace(temp, meta_path)
     return meta
+
+
+def build_paged_rtree(
+    source,
+    path,
+    *,
+    max_entries: int = DEFAULT_FANOUT,
+    budget_rows: int = DEFAULT_BUDGET_ROWS,
+    page_size: int | None = None,
+    scratch_dir=None,
+) -> dict:
+    """Bulk-load the active records of ``source`` into a page file at ``path``.
+
+    ``source`` is any record store (tombstoned rows are skipped; leaf entries
+    carry stable ids) or a plain ``(n, d)`` array.  ``budget_rows`` bounds
+    the coordinates touched per pass; a larger build keeps its scratch files
+    under ``scratch_dir`` (a temp directory by default) and removes them on
+    return.  Returns the page-file meta mapping.
+    """
+    with str_load(source, max_entries=max_entries, budget_rows=budget_rows,
+                  page_size=page_size, scratch_dir=scratch_dir) as (meta, chunks):
+        return write_pages(path, chunks, meta)
 
 
 def read_meta(path) -> dict:
@@ -307,14 +229,14 @@ class BufferPool:
         )
 
 
-class PagedRTree:
-    """Read-only R-tree traversed page by page through a buffer pool.
+class PagedRTree(RTree):
+    """Read-only :class:`~repro.index.rtree.RTree` over a page file, read
+    page by page through a buffer pool.
 
     Parameters
     ----------
     path:
-        The page file written by :func:`write_pages` (its ``.meta.json``
-        sidecar must be present).
+        The page file (its ``.meta.json`` sidecar must be present).
     values:
         Record buffer prefix; leaf entry ids index into it (for a colstore
         this is :attr:`ColumnarRecordStore.matrix` — a zero-copy mmap view).
@@ -324,21 +246,19 @@ class PagedRTree:
 
     def __init__(self, path, values, *, pool_pages: int = DEFAULT_POOL_PAGES):
         self.path = Path(path)
-        meta = read_meta(self.path)
-        self.meta = meta
-        self.dimension = int(meta["dimension"]) or None
-        self.size = int(meta["size"])
-        self.fanout = int(meta["fanout"])
-        dtype, _ = page_dtype(meta["dimension"], self.fanout, meta["page_size"])
-        self._pages = np.memmap(self.path, dtype=dtype, mode="r")
-        if self._pages.shape[0] != int(meta["n_pages"]):
+        self._meta = read_meta(self.path)
+        self._open(np.memmap(self.path, dtype=np.uint8, mode="r"), values, self._meta)
+        if self._n_pages != int(self._meta["n_pages"]):
             raise StorageError(
-                f"{path}: file holds {self._pages.shape[0]} pages, "
-                f"meta says {meta['n_pages']}"
+                f"{path}: file holds {self._n_pages} pages, "
+                f"meta says {self._meta['n_pages']}"
             )
         self.pool = BufferPool(self._pages, capacity=pool_pages)
-        self.values = values
-        self.access_counts: dict[str, int] = dict.fromkeys(ACCESS_OPS, 0)
+
+    @property
+    def meta(self) -> dict:
+        """The page file's sidecar meta."""
+        return self._meta
 
     def read_root(self) -> tuple[int, np.ndarray | None]:
         """Root page 0 and its MBB top corner (``None`` for an empty tree)."""
@@ -359,39 +279,13 @@ class PagedRTree:
                 corners = np.array(
                     [self.pool.get(child).upper for child in node.ids.tolist()]
                 ).reshape(node.count, node.upper.shape[0])
-                filled = ~np.isnan(corners[:, 0])
-                corners = corners[filled]
                 corners.flags.writeable = False
-                node.children = (node.ids[filled].tolist(), corners)
+                node.children = (node.ids.tolist(), corners)
             ids, corners = node.children
             return False, ids, corners
 
-    def count_access(self, op: str, n: int = 1) -> None:
-        """Same tally contract as :meth:`RTree.count_access`."""
-        if not n:
-            return
-        self.access_counts[op] += n
-        if _obs._ENABLED:
-            from repro.obs.names import RTREE_NODE_ACCESSES
-
-            RTREE_NODE_ACCESSES.inc(n, op=op)
-
-    def height(self) -> int:
-        """Number of levels (a single leaf root has height 1)."""
-        return int(self.meta["height"])
-
-    def fill_factor(self) -> float:
-        """Mean leaf occupancy relative to the fanout."""
-        n_leaves = int(self.meta["n_leaves"])
-        if not n_leaves:
-            return 0.0
-        return self.size / (n_leaves * self.fanout)
-
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PagedRTree(size={self.size}, pages={self.meta['n_pages']}, "
-            f"fanout={self.fanout}, height={self.meta['height']})"
+            f"PagedRTree(size={self.size}, pages={self._meta['n_pages']}, "
+            f"fanout={self.max_entries}, height={self._meta['height']})"
         )

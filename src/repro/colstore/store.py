@@ -21,9 +21,6 @@ but backs the buffer with **memory-mapped column files** on disk:
   stale descriptor's re-attach fails with :class:`FileNotFoundError` and
   triggers the serve tier's refresh-and-retry protocol, exactly like
   retired shm segments.
-
-Optional compressed-at-rest import/export (Parquet) lives in
-:mod:`repro.colstore.parquet` behind the ``[parquet]`` extra.
 """
 
 from __future__ import annotations
@@ -261,11 +258,11 @@ class ColumnarRecordStore(RecordStore):
         return {"kind": "colstore", "buffer": self.mmap_location(),
                 "count": int(self._count)}
 
-    def publish_tree(self, flat: dict, generation: int) -> dict:
-        """Write the tree as a page file next to the columns; unlink the
-        previous one (workers attach it as a :class:`PagedRTree`)."""
+    def publish_tree(self, pages: np.ndarray, meta: dict, generation: int) -> dict:
+        """Write the tree's page array as a page file next to the columns;
+        unlink the previous one (workers attach it as a :class:`PagedRTree`)."""
         path = self._directory / f"rtree.g{generation}.pages"
-        meta = write_pages(path, flat)
+        write_pages(path, (pages,), meta)
         previous, self._tree_path = self._tree_path, path
         if previous is not None and previous != path:
             _unlink_pages(previous)

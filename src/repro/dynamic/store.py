@@ -42,9 +42,9 @@ class RecordStore:
       grow retired;
     * the worker descriptor and lifetime: :meth:`worker_location` and
       :meth:`publish_tree` say where query worker processes find the record
-      buffer and the engine's packed R-tree, :meth:`segment_names` lists the
-      shared-memory segments for crash cleanup, and :meth:`close` releases
-      everything the store created.
+      buffer and a copy of the engine's R-tree pages, :meth:`segment_names`
+      lists the shared-memory segments for crash cleanup, and :meth:`close`
+      releases everything the store created.
 
     All id assignment, tombstoning, bounds/validity checks and the geometric
     growth schedule stay in this base class, so backends cannot diverge on
@@ -249,12 +249,15 @@ class RecordStore:
             "use store='shm' or store='colstore'"
         )
 
-    def publish_tree(self, flat: dict, generation: int) -> dict:
-        """Publish a flattened R-tree (:meth:`RTree.flatten`) for workers.
+    def publish_tree(self, pages: np.ndarray, meta: dict, generation: int) -> dict:
+        """Publish a copy of the R-tree's page array for workers.
 
-        Returns the ``tree`` manifest of the worker descriptor and retires
-        the tree this store published before, so at most one is live.
-        ``generation`` is the engine's update sequence the tree reflects.
+        ``pages`` is :attr:`RTree.pages <repro.index.rtree.RTree.pages>` as
+        it is and ``meta`` its page meta; workers read the copy with the
+        same page reader.  Returns the ``tree`` manifest of the worker
+        descriptor and retires the tree this store published before, so at
+        most one is live.  ``generation`` is the engine's update sequence
+        the tree reflects.
         """
         raise StorageError(
             "the in-memory store cannot publish a tree to worker processes; "

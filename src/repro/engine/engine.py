@@ -23,9 +23,9 @@ a dataset once and serves many queries fast through three layers:
 The records live in a :class:`~repro.dynamic.store.RecordStore` — the one
 plug point.  ``store="memory"`` keeps them on the heap, ``"shm"`` in
 shared-memory segments and ``"colstore"`` in memory-mapped column files;
-each store also publishes the buffer and a packed R-tree to query worker
-processes (:meth:`UTKEngine.shared_descriptor`).  The engine itself never
-asks which store it holds.
+each store also publishes the buffer and a copy of the R-tree's page array
+to query worker processes (:meth:`UTKEngine.shared_descriptor`).  The engine
+itself never asks which store it holds.
 
 Every engine stays exact under record insertion and deletion: records keep
 stable ids (tombstoned deletes), the shared R-tree is maintained in place,
@@ -304,7 +304,7 @@ class UTKEngine:
         self.parallel_workers = int(parallel_workers)
         self.parallel_min_candidates = int(parallel_min_candidates)
         self._pool = None
-        self._packed: tuple[int, dict] | None = None  # (generation, tree manifest)
+        self._published: tuple[int, dict] | None = None  # (generation, tree manifest)
 
     # ------------------------------------------------------------------ basic
     @property
@@ -428,9 +428,9 @@ class UTKEngine:
     def k_skyband(self, k: int) -> np.ndarray:
         """Traditional k-skyband of the bound (transformed) dataset.
 
-        Runs over the engine's cached R-tree — the one-shot path rebuilds a
-        throwaway tree for every call above the index threshold — and is
-        memoized per ``k``, so repeated skyband queries are a lookup.
+        Runs over the engine's R-tree — the one-shot path bulk-loads a
+        throwaway tree on every call — and is memoized per ``k``, so
+        repeated skyband queries are a lookup.
         """
         if k <= 0:
             raise InvalidQueryError("k must be positive")
@@ -482,7 +482,7 @@ class UTKEngine:
         temporary ``store_dir`` (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
-            self._packed = None
+            self._published = None
             self._store.close()
         if pool is not None:
             pool.shutdown()
@@ -695,7 +695,7 @@ class UTKEngine:
         row = np.asarray(raw_row, dtype=float).reshape(-1)
         transformed = self.scoring.transform(row.reshape(1, -1))[0]
         record_id = self._store.insert(transformed)
-        self._values = self._store.matrix
+        self._values = self._tree.values = self._store.matrix
         stored = self._store.row(record_id)
         self._tree.insert(record_id, stored)
 
@@ -747,7 +747,7 @@ class UTKEngine:
     def _apply_delete(self, record_id, batch: UpdateStatistics) -> None:
         record_id = int(record_id)
         row = self._store.delete(record_id)  # raises KeyError when not active
-        self._values = self._store.matrix
+        self._values = self._tree.values = self._store.matrix
         self._tree.delete(record_id, row)
 
         # The O(n) pool snapshot is only needed to re-filter skybands the
@@ -823,20 +823,26 @@ class UTKEngine:
     def shared_descriptor(self) -> dict:
         """Attachment descriptor for zero-copy query workers.
 
-        The store publishes the R-tree afresh when (and only when) an update
-        batch ran since the last publish, and retires the previous one —
-        late workers holding its mapping finish fine, new attachments of a
-        stale descriptor fail with :class:`FileNotFoundError` and retry
-        with a fresh descriptor (see :func:`repro.serve.workers.worker_query`).
-        The record buffer is already shared.
+        The store publishes a copy of the R-tree's pages afresh when (and
+        only when) an update batch ran since the last publish, and retires
+        the previous one — late workers holding its mapping finish fine, new
+        attachments of a stale descriptor fail with :class:`FileNotFoundError`
+        and retry with a fresh descriptor (see
+        :func:`repro.serve.workers.worker_query`).  A read-only engine's
+        paged index already is a page file, so its descriptor names that
+        file.  The record buffer is already shared.
         """
         with self._lock:
             # Even here: an update holds the engine lock while it is odd.
             generation = self._update_seq
-            if self._packed is None or self._packed[0] != generation:
-                manifest = self._store.publish_tree(self._tree.flatten(), generation)
-                self._packed = (generation, manifest)
-            return {"generation": generation, "tree": self._packed[1],
+            if self._published is None or self._published[0] != generation:
+                if self._read_only:
+                    manifest = {"path": str(self._tree.path), "meta": self._tree.meta}
+                else:
+                    manifest = self._store.publish_tree(
+                        self._tree.pages, self._tree.meta, generation)
+                self._published = (generation, manifest)
+            return {"generation": generation, "tree": self._published[1],
                     **self._store.worker_location()}
 
     def shm_segment_names(self) -> list[str]:

@@ -1,14 +1,13 @@
-"""Spatial-index substrate: minimum bounding boxes and an R-tree.
+"""Spatial-index substrate: the R-tree and its page format.
 
 The UTK paper assumes the dataset is organized by a spatial index such as an
 R-tree and drives both its filtering step (BBS-style branch and bound) and
 plain top-k queries through it.  This subpackage implements the index from
-scratch: :class:`repro.index.mbb.MBB` value objects and
-:class:`repro.index.rtree.RTree` with STR bulk loading and incremental
-insertion.
+scratch: :mod:`repro.index.pages` defines the one page format and its STR
+bulk loader, and :class:`repro.index.rtree.RTree` keeps its nodes as rows of
+one page array, with incremental insertion and deletion.
 """
 
-from repro.index.mbb import MBB
-from repro.index.rtree import RTree, RTreeNode
+from repro.index.rtree import RTree
 
-__all__ = ["MBB", "RTree", "RTreeNode"]
+__all__ = ["RTree"]

@@ -1,22 +1,36 @@
-"""A from-scratch in-memory R-tree.
+"""The R-tree: one page array, bulk-loaded, updated in place, read node by node.
 
-The tree supports two construction modes:
+The tree's nodes are the rows of one growable array of pages
+(:func:`~repro.index.pages.page_dtype`): a leaf flag, the entry count, the
+node MBB, then child page ids (internal nodes) or record ids (leaves).  The
+root stays at page 0.  Leaves hold ids only: like every reader of the
+format, the tree takes leaf rows from :attr:`RTree.values`, the record
+buffer its ids index, which the owner re-points whenever that buffer moves.
+An insert or delete only reads rows of records already in the tree or being
+placed, so ``values`` must hold those rows before the call.
 
-* **STR bulk loading** (default) — the standard sort-tile-recursive packing,
-  which produces well-shaped nodes for static datasets such as the benchmark
-  workloads in the paper;
-* **incremental insertion** with the classical least-enlargement descent and
-  quadratic split, plus **deletion** with the classical condense-tree step
-  (underfull nodes are dissolved and their records re-inserted), so dynamic
-  workloads are also covered.
+* **STR bulk loading** — ``RTree(points)`` packs the points with the one
+  streaming loader (:func:`~repro.index.pages.str_load`), on in-memory
+  arrays while they fit its row budget.  The page array is byte for byte
+  the page file :func:`~repro.colstore.pages.build_paged_rtree` writes for
+  the same records.
+* **Insertion** — least-enlargement descent (ties to the smaller volume)
+  and quadratic split with Guttman's forced assignment.  A split node keeps
+  its page and one group; the new sibling page takes the other and goes
+  after it in the parent.  A root split moves the old root off page 0.
+* **Deletion** — a depth-first leaf search pruned by an optional location
+  hint (falling back to an unhinted search), then the classical condense
+  step: underfull nodes are dissolved and their records re-inserted, and a
+  root left with one child is replaced by it.  Freed pages go on a free
+  list for reuse.
 
 Traversal-oriented consumers (BBS, branch-and-bound top-k) read the tree
-through two methods, which the packed (:mod:`repro.serve.packed`) and paged
-(:mod:`repro.colstore.pages`) trees implement over their own memory:
-:meth:`RTree.read_root` gives the root's handle and MBB top corner, and
-:meth:`RTree.read_node` one node as arrays — child handles with their MBB
-top corners, or record ids with their rows.  The node objects'
-``children``/``entries`` serve this tree's own insert and delete.
+through :meth:`RTree.read_root` (the root page and its MBB top corner) and
+:meth:`RTree.read_node` (one node as arrays — child pages with their MBB
+top corners, or record ids with their rows).  The same reader serves every
+copy of the pages: the heap tree's own array, a copy a worker attached from
+shared memory (:meth:`RTree.attach`), and a page file read through a buffer
+pool (:class:`~repro.colstore.pages.PagedRTree`).
 """
 
 from __future__ import annotations
@@ -26,59 +40,27 @@ import math
 import numpy as np
 
 from repro.exceptions import InvalidDatasetError
-from repro.index.mbb import MBB
+from repro.index.pages import page_dtype, page_meta, str_load
 from repro.obs import runtime as _obs
 
 #: Node-access operations tallied by :meth:`RTree.count_access`.
 ACCESS_OPS = ("search", "insert", "delete")
 
-
-class RTreeNode:
-    """A node of the R-tree.
-
-    Leaf nodes hold ``entries`` as ``(record_index, point)`` pairs; internal
-    nodes hold child nodes.  Every node maintains its MBB.
-    """
-
-    __slots__ = ("is_leaf", "children", "entries", "mbb", "parent")
-
-    def __init__(self, is_leaf: bool):
-        self.is_leaf = is_leaf
-        self.children: list[RTreeNode] = []
-        self.entries: list[tuple[int, np.ndarray]] = []
-        self.mbb: MBB | None = None
-        self.parent: RTreeNode | None = None
-
-    def recompute_mbb(self) -> None:
-        """Recompute this node's MBB from its children/entries."""
-        if self.is_leaf:
-            points = [point for _, point in self.entries]
-            self.mbb = MBB.of_points(points) if points else None
-        else:
-            boxes = [child.mbb for child in self.children if child.mbb is not None]
-            if not boxes:
-                self.mbb = None
-                return
-            box = boxes[0].copy()
-            for other in boxes[1:]:
-                box = box.union(other)
-            self.mbb = box
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else "internal"
-        count = len(self.entries) if self.is_leaf else len(self.children)
-        return f"RTreeNode({kind}, fanout={count})"
+#: Slack of the delete's location hint test against node MBBs.
+_HINT_TOL = 1e-12
 
 
 class RTree:
-    """R-tree over a point dataset.
+    """R-tree over a point dataset, stored as one page array.
 
     Parameters
     ----------
     points:
-        Optional ``(n, d)`` matrix to bulk load immediately (STR packing).
+        Optional ``(n, d)`` matrix to bulk load immediately (STR packing);
+        record ``i`` gets id ``i`` and ``points`` becomes :attr:`values`.
     max_entries:
-        Node capacity; ``min_entries`` defaults to ``ceil(max_entries * 0.4)``.
+        Node capacity (the page fanout); ``min_entries`` defaults to
+        ``ceil(max_entries * 0.4)``.
     """
 
     def __init__(self, points=None, *, max_entries: int = 16, min_entries: int | None = None):
@@ -95,10 +77,58 @@ class RTree:
             )
         self.dimension: int | None = None
         self.size = 0
-        self.root = RTreeNode(is_leaf=True)
+        #: The record buffer leaf ids index.
+        self.values = None
         self.access_counts: dict[str, int] = dict.fromkeys(ACCESS_OPS, 0)
+        self._free: list[int] = []
         if points is not None:
-            self.bulk_load(points)
+            self.values = np.asarray(points, dtype=float)
+            self._load(self.values)
+
+    @classmethod
+    def attach(cls, pages, values, meta: dict) -> "RTree":
+        """A read-only tree over a published page array, without a copy.
+
+        ``pages`` holds the array (its bytes will do, e.g. a view of a
+        shared-memory segment) and ``meta`` is its
+        :func:`~repro.index.pages.page_meta`; leaf ids index ``values``.
+        """
+        tree = cls.__new__(cls)
+        tree._open(pages, values, meta)
+        return tree
+
+    def _open(self, pages, values, meta: dict) -> None:
+        dtype, _ = page_dtype(meta["dimension"], meta["fanout"], meta["page_size"])
+        pages = pages.view(dtype)
+        pages.flags.writeable = False
+        self.max_entries = int(meta["fanout"])
+        self.min_entries = max(2, math.ceil(self.max_entries * 0.4))
+        self.dimension = int(meta["dimension"]) or None
+        self.size = int(meta["size"])
+        self.values = values
+        self.access_counts = dict.fromkeys(ACCESS_OPS, 0)
+        self._free = []
+        self._bind(pages, pages.shape[0])
+
+    def _load(self, points) -> None:
+        """Replace the pages with an STR-packed tree over ``points``."""
+        with str_load(points, max_entries=self.max_entries) as (meta, chunks):
+            chunks = list(chunks)
+        self._bind(chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+                   meta["n_pages"])
+        self._free = []
+        self.dimension = meta["dimension"]
+        self.size = meta["size"]
+
+    def _bind(self, pages: np.ndarray, n_pages: int) -> None:
+        """Adopt ``pages`` (rows ``[0, n_pages)`` in use) and its field views."""
+        self._pages = pages
+        self._n_pages = n_pages
+        self._is_leaf = pages["is_leaf"]
+        self._count = pages["count"]
+        self._lower = pages["lower"]
+        self._upper = pages["upper"]
+        self._ids = pages["ids"]
 
     def count_access(self, op: str, n: int = 1) -> None:
         """Tally ``n`` node accesses of kind ``op`` (search/insert/delete).
@@ -115,216 +145,137 @@ class RTree:
             from repro.obs.names import RTREE_NODE_ACCESSES
             RTREE_NODE_ACCESSES.inc(n, op=op)
 
-    # ------------------------------------------------------------ bulk loading
-    def bulk_load(self, points) -> None:
-        """Replace the tree contents with an STR-packed tree over ``points``."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise InvalidDatasetError("bulk_load expects an (n, d) matrix")
-        n, d = points.shape
-        self.dimension = d
-        self.size = n
-        if n == 0:
-            self.root = RTreeNode(is_leaf=True)
-            return
-        leaves = self._build_leaves(points)
-        self.root = self._pack_upwards(leaves)
+    # ------------------------------------------------------------ the pages
+    @property
+    def pages(self) -> np.ndarray:
+        """The page array in use (freed pages included, unreachable)."""
+        return self._pages[: self._n_pages]
 
-    def _build_leaves(self, points: np.ndarray) -> list[RTreeNode]:
-        """Sort-tile-recursive packing of the points into leaf nodes."""
-        n, d = points.shape
-        order = np.arange(n)
-        groups = self._str_partition(points, order, axis=0)
-        leaves = []
-        for group in groups:
-            node = RTreeNode(is_leaf=True)
-            node.entries = [(int(i), points[i]) for i in group]
-            node.recompute_mbb()
-            leaves.append(node)
-        return leaves
+    @property
+    def meta(self) -> dict:
+        """The :func:`~repro.index.pages.page_meta` of :attr:`pages`."""
+        return page_meta(
+            dimension=self.dimension or 0, size=self.size, fanout=self.max_entries,
+            page_size=self._pages.dtype.itemsize, n_pages=self._n_pages,
+            n_leaves=np.count_nonzero(self._is_leaf[: self._n_pages]),
+            height=self.height(),
+        )
 
-    @staticmethod
-    def _even_sizes(count: int, parts: int) -> list[int]:
-        """Split ``count`` items into ``parts`` near-equal group sizes."""
-        base, remainder = divmod(count, parts)
-        return [base + 1] * remainder + [base] * (parts - remainder)
+    def _alloc(self, is_leaf: bool) -> int:
+        """A blank page from the free list, else past the last page in use."""
+        if self._free:
+            page = self._free.pop()
+        else:
+            if self._n_pages == self._pages.shape[0]:
+                grown = np.zeros(2 * self._n_pages, dtype=self._pages.dtype)
+                grown[: self._n_pages] = self._pages[: self._n_pages]
+                self._bind(grown, self._n_pages)
+            page = self._n_pages
+            self._n_pages += 1
+            self._ids[page] = -1
+        self._is_leaf[page] = is_leaf
+        return page
 
-    def _str_partition(self, points: np.ndarray, indices: np.ndarray, axis: int) -> list[
-        np.ndarray
-    ]:
-        """Recursively tile ``indices`` into groups of at most ``max_entries``.
+    def _release(self, page: int) -> None:
+        """Blank ``page`` (no leaf, no entries) and put it on the free list."""
+        self._is_leaf[page] = False
+        self._count[page] = 0
+        self._lower[page] = np.nan
+        self._upper[page] = np.nan
+        self._ids[page] = -1
+        self._free.append(page)
 
-        Groups (and slabs) are sized near-evenly rather than greedily: a
-        greedy cut leaves a remainder group that can fall below
-        ``min_entries``, and such an underfull node makes a single later
-        ``delete`` dissolve (and re-insert) a whole subtree.
-        """
-        capacity = self.max_entries
-        count = indices.shape[0]
-        if count <= capacity:
-            return [indices]
-        d = points.shape[1]
-        leaf_count = math.ceil(count / capacity)
-        slabs = math.ceil(leaf_count ** (1.0 / (d - axis))) if axis < d - 1 else leaf_count
-        ordered = indices[np.argsort(points[indices, axis], kind="stable")]
-        groups: list[np.ndarray] = []
-        start = 0
-        for size in self._even_sizes(count, slabs):
-            chunk = ordered[start:start + size]
-            start += size
-            if axis + 1 < d and chunk.shape[0] > capacity:
-                groups.extend(self._str_partition(points, chunk, axis + 1))
-            else:
-                inner_start = 0
-                for inner in self._even_sizes(chunk.shape[0], math.ceil(
-                        chunk.shape[0] / capacity)):
-                    groups.append(chunk[inner_start:inner_start + inner])
-                    inner_start += inner
-        return groups
+    def _set_ids(self, page: int, items) -> None:
+        count = len(items)
+        self._count[page] = count
+        self._ids[page, :count] = items
+        self._ids[page, count:] = -1
 
-    def _pack_upwards(self, nodes: list[RTreeNode]) -> RTreeNode:
-        """Pack a level of nodes into parent levels until a single root remains."""
-        while len(nodes) > 1:
-            parents: list[RTreeNode] = []
-            # Order nodes by the first coordinate of their MBB centre so that
-            # siblings are spatially close.
-            centres = np.array([(node.mbb.lower + node.mbb.upper) / 2.0 for node in nodes])
-            order = np.lexsort(
-                tuple(centres[:, axis] for axis in reversed(range(centres.shape[1])))
-            )
-            ordered = [nodes[i] for i in order]
-            start = 0
-            for size in self._even_sizes(
-                len(ordered), math.ceil(len(ordered) / self.max_entries)
-            ):
-                parent = RTreeNode(is_leaf=False)
-                parent.children = ordered[start:start + size]
-                start += size
-                for child in parent.children:
-                    child.parent = parent
-                parent.recompute_mbb()
-                parents.append(parent)
-            nodes = parents
-        root = nodes[0]
-        root.parent = None
-        return root
+    def _refit(self, page: int) -> None:
+        """Recompute the MBB of ``page`` from its entries (``NaN`` when empty)."""
+        ids = self._ids[page, : self._count[page]]
+        if not ids.size:
+            self._lower[page] = self._upper[page] = np.nan
+        elif self._is_leaf[page]:
+            rows = self.values[ids]
+            self._lower[page] = rows.min(axis=0)
+            self._upper[page] = rows.max(axis=0)
+        else:
+            self._lower[page] = self._lower[ids].min(axis=0)
+            self._upper[page] = self._upper[ids].max(axis=0)
 
     # ------------------------------------------------------------- insertion
     def insert(self, index: int, point) -> None:
-        """Insert a single record (least-enlargement descent, quadratic split)."""
+        """Insert record ``index`` at ``point`` (least-enlargement descent,
+        quadratic split); ``values[index]`` must equal ``point``."""
         point = np.asarray(point, dtype=float).reshape(-1)
         if self.dimension is None:
-            self.dimension = point.shape[0]
+            self._load(np.empty((0, point.shape[0])))
         elif point.shape[0] != self.dimension:
             raise InvalidDatasetError("point dimensionality does not match the tree")
-        self.size += 1
         self._insert_entry(int(index), point)
+        self.size += 1
 
     def _insert_entry(self, index: int, point: np.ndarray) -> None:
         """Place one already-validated entry (shared by insert and reinsertion)."""
-        leaf = self._choose_leaf(self.root, point)
-        leaf.entries.append((index, point))
-        leaf.recompute_mbb()
-        self._handle_overflow(leaf)
-        self._adjust_upwards(leaf.parent)
+        path = self._choose_leaf(point)
+        # Every node on the path now also covers the point: its tight MBB
+        # grows by exactly that, whatever the splits below redistribute.
+        rows = np.asarray(path)
+        self._lower[rows] = np.fmin(self._lower[rows], point)
+        self._upper[rows] = np.fmax(self._upper[rows], point)
+        item, depth = index, len(path) - 1
+        while True:
+            page = path[depth]
+            count = int(self._count[page])
+            if count < self.max_entries:
+                self._ids[page, count] = item
+                self._count[page] = count + 1
+                return
+            sibling = self._split(page, np.append(self._ids[page, :count], item))
+            if depth == 0:
+                self._split_root(sibling)
+                return
+            item, depth = sibling, depth - 1
 
-    def _choose_leaf(self, node: RTreeNode, point: np.ndarray) -> RTreeNode:
-        visited = 1
-        while not node.is_leaf:
-            target = MBB.of_point(point)
-            best, best_cost, best_volume = None, None, None
-            for child in node.children:
-                cost = child.mbb.enlargement(target)
-                volume = child.mbb.volume
-                if best is None or cost < best_cost or (cost == best_cost and volume < best_volume):
-                    best, best_cost, best_volume = child, cost, volume
-            node = best
-            visited += 1
-        self.count_access("insert", visited)
-        return node
+    def _choose_leaf(self, point: np.ndarray) -> list[int]:
+        """Root-to-leaf path of least MBB enlargement (ties: smaller volume,
+        then the earlier child)."""
+        path = [0]
+        while not self._is_leaf[path[-1]]:
+            page = path[-1]
+            children = self._ids[page, : self._count[page]]
+            lower, upper = self._lower[children], self._upper[children]
+            volume = np.prod(upper - lower, axis=1)
+            cost = np.prod(np.maximum(upper, point) - np.minimum(lower, point), axis=1) - volume
+            tied = np.flatnonzero(cost == cost.min())
+            path.append(int(children[tied[np.argmin(volume[tied])]]))
+        self.count_access("insert", len(path))
+        return path
 
-    def _handle_overflow(self, node: RTreeNode) -> None:
-        limit = self.max_entries
-        count = len(node.entries) if node.is_leaf else len(node.children)
-        if count <= limit:
-            return
-        sibling = self._split(node)
-        parent = node.parent
-        if parent is None:
-            new_root = RTreeNode(is_leaf=False)
-            new_root.children = [node, sibling]
-            node.parent = new_root
-            sibling.parent = new_root
-            new_root.recompute_mbb()
-            self.root = new_root
-            return
-        parent.children.append(sibling)
-        sibling.parent = parent
-        parent.recompute_mbb()
-        self._handle_overflow(parent)
-
-    def _split(self, node: RTreeNode) -> RTreeNode:
-        """Quadratic split; ``node`` keeps one group, the returned sibling the other."""
-        if node.is_leaf:
-            items = node.entries
-            boxes = [MBB.of_point(point) for _, point in items]
+    def _split(self, page: int, items: np.ndarray) -> int:
+        """Quadratic split of ``page`` holding ``items`` (one more than fit):
+        the page keeps one group and a new sibling page, returned, the other."""
+        is_leaf = bool(self._is_leaf[page])
+        if is_leaf:
+            lower = upper = self.values[items]
         else:
-            items = node.children
-            boxes = [child.mbb for child in items]
-        seed_a, seed_b = self._pick_seeds(boxes)
-        group_a, group_b = [seed_a], [seed_b]
-        box_a, box_b = boxes[seed_a].copy(), boxes[seed_b].copy()
-        remaining = [i for i in range(len(items)) if i not in (seed_a, seed_b)]
-        for handed_out, position in enumerate(remaining):
-            unassigned = len(remaining) - handed_out
-            # Forced assignment: when a group needs every item still unassigned
-            # to reach the minimum fill, it gets them all (Guttman's stopping
-            # rule, evaluated against the *current* unassigned count).
-            if len(group_a) + unassigned <= self.min_entries:
-                group_a.append(position)
-                box_a = box_a.union(boxes[position])
-                continue
-            if len(group_b) + unassigned <= self.min_entries:
-                group_b.append(position)
-                box_b = box_b.union(boxes[position])
-                continue
-            cost_a = box_a.enlargement(boxes[position])
-            cost_b = box_b.enlargement(boxes[position])
-            if cost_a < cost_b or (cost_a == cost_b and len(group_a) <= len(group_b)):
-                group_a.append(position)
-                box_a = box_a.union(boxes[position])
-            else:
-                group_b.append(position)
-                box_b = box_b.union(boxes[position])
-        sibling = RTreeNode(is_leaf=node.is_leaf)
-        if node.is_leaf:
-            all_entries = node.entries
-            node.entries = [all_entries[i] for i in group_a]
-            sibling.entries = [all_entries[i] for i in group_b]
-        else:
-            all_children = node.children
-            node.children = [all_children[i] for i in group_a]
-            sibling.children = [all_children[i] for i in group_b]
-            for child in sibling.children:
-                child.parent = sibling
-        node.recompute_mbb()
-        sibling.recompute_mbb()
+            lower, upper = self._lower[items], self._upper[items]
+        group_a, group_b = _quadratic_split(lower, upper, self.min_entries)
+        sibling = self._alloc(is_leaf)
+        for target, group in ((page, group_a), (sibling, group_b)):
+            self._set_ids(target, items[group])
+            self._refit(target)
         return sibling
 
-    @staticmethod
-    def _pick_seeds(boxes: list[MBB]) -> tuple[int, int]:
-        worst_pair, worst_waste = (0, 1), -np.inf
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                waste = boxes[i].union(boxes[j]).volume - boxes[i].volume - boxes[j].volume
-                if waste > worst_waste:
-                    worst_waste, worst_pair = waste, (i, j)
-        return worst_pair
-
-    def _adjust_upwards(self, node: RTreeNode | None) -> None:
-        while node is not None:
-            node.recompute_mbb()
-            node = node.parent
+    def _split_root(self, sibling: int) -> None:
+        """Page 0 split: its first group moves to a new page, and page 0
+        becomes the parent of that page and ``sibling``."""
+        moved = self._alloc(False)
+        self._pages[moved] = self._pages[0]
+        self._is_leaf[0] = False
+        self._set_ids(0, [moved, sibling])
+        self._refit(0)
 
     # -------------------------------------------------------------- deletion
     def delete(self, index: int, point=None) -> None:
@@ -341,199 +292,163 @@ class RTree:
         """
         index = int(index)
         hint = None if point is None else np.asarray(point, dtype=float).reshape(-1)
-        leaf = self._find_leaf(index, hint)
-        if leaf is None and hint is not None:
-            leaf = self._find_leaf(index, None)
-        if leaf is None:
+        path = None
+        if self.dimension is not None:
+            path = self._find_leaf(index, hint)
+            if path is None and hint is not None:
+                path = self._find_leaf(index, None)
+        if path is None:
             raise KeyError(f"record {index} is not in the tree")
-        leaf.entries = [entry for entry in leaf.entries if entry[0] != index]
+        leaf = path[-1]
+        ids = self._ids[leaf, : self._count[leaf]]
+        self._set_ids(leaf, ids[ids != index])
         self.size -= 1
-        self._condense(leaf)
+        self._condense(path)
 
-    def _find_leaf(self, index: int, point: np.ndarray | None) -> RTreeNode | None:
-        """The leaf holding record ``index`` (pruned by ``point`` when given)."""
-        stack = [self.root]
+    def _covering(self, pages, point: np.ndarray | None) -> list[bool]:
+        """Whether each page's MBB contains the hint ``point`` (all, without one)."""
+        if point is None:
+            return [True] * len(pages)
+        lower, upper = self._lower[pages], self._upper[pages]
+        return np.all((lower - _HINT_TOL <= point) & (point <= upper + _HINT_TOL),
+                      axis=1).tolist()
+
+    def _find_leaf(self, index: int, point: np.ndarray | None) -> list[int] | None:
+        """Root-to-leaf path to the leaf holding record ``index``, searched
+        depth first (pruned by ``point`` when given), or ``None``."""
+        stack = [(0, 0, self._covering([0], point)[0])]
+        path: list[int] = []
         visited = 0
         try:
             while stack:
-                node = stack.pop()
+                page, depth, covered = stack.pop()
                 visited += 1
-                if point is not None and (
-                    node.mbb is None or not node.mbb.contains_point(point, tol=1e-12)
-                ):
+                if not covered:
                     continue
-                if node.is_leaf:
-                    if any(entry_index == index for entry_index, _ in node.entries):
-                        return node
+                del path[depth:]
+                path.append(page)
+                ids = self._ids[page, : self._count[page]]
+                if self._is_leaf[page]:
+                    if (ids == index).any():
+                        return path
                 else:
-                    stack.extend(node.children)
+                    children = ids.tolist()
+                    stack.extend(zip(children, [depth + 1] * len(children),
+                                     self._covering(ids, point)))
             return None
         finally:
             self.count_access("delete", visited)
 
-    def _condense(self, leaf: RTreeNode) -> None:
-        """Dissolve underfull ancestors of ``leaf`` and re-insert their records."""
-        orphans: list[tuple[int, np.ndarray]] = []
-        node = leaf
-        while node.parent is not None:
-            parent = node.parent
-            count = len(node.entries) if node.is_leaf else len(node.children)
-            if count < self.min_entries:
-                parent.children.remove(node)
-                orphans.extend(self._collect_entries(node))
+    def _condense(self, path: list[int]) -> None:
+        """Dissolve underfull nodes on ``path`` and re-insert their records."""
+        orphans: list[int] = []
+        for depth in range(len(path) - 1, 0, -1):
+            page, parent = path[depth], path[depth - 1]
+            if self._count[page] < self.min_entries:
+                siblings = self._ids[parent, : self._count[parent]]
+                self._set_ids(parent, siblings[siblings != page])
+                orphans.extend(self._dissolve(page))
             else:
-                node.recompute_mbb()
-            node = parent
-        node.recompute_mbb()
+                self._refit(page)
+        self._refit(0)
         # Shrink the root: an internal root with a single child is replaced by
         # that child; one left with no children becomes an empty leaf again.
-        while not self.root.is_leaf and len(self.root.children) == 1:
-            self.root = self.root.children[0]
-            self.root.parent = None
-        if not self.root.is_leaf and not self.root.children:
-            self.root = RTreeNode(is_leaf=True)
-        for orphan_index, orphan_point in orphans:
-            self._insert_entry(orphan_index, orphan_point)
+        while not self._is_leaf[0] and self._count[0] == 1:
+            child = int(self._ids[0, 0])
+            self._pages[0] = self._pages[child]
+            self._release(child)
+        if not self._count[0]:
+            self._is_leaf[0] = True
+        for orphan in orphans:
+            self._insert_entry(orphan, self.values[orphan])
 
-    @staticmethod
-    def _collect_entries(node: RTreeNode) -> list[tuple[int, np.ndarray]]:
-        """All leaf entries stored beneath ``node``."""
-        entries: list[tuple[int, np.ndarray]] = []
-        stack = [node]
+    def _dissolve(self, page: int) -> list[int]:
+        """Record ids beneath ``page`` in depth-first order; frees its subtree."""
+        entries: list[int] = []
+        stack = [page]
         while stack:
             current = stack.pop()
-            if current.is_leaf:
-                entries.extend(current.entries)
+            ids = self._ids[current, : self._count[current]].tolist()
+            if self._is_leaf[current]:
+                entries.extend(ids)
             else:
-                stack.extend(current.children)
+                stack.extend(ids)
+            self._release(current)
         return entries
 
-    # ------------------------------------------------------------- flattening
-    def flatten(self) -> dict:
-        """Pack the tree into flat numpy arrays (BFS order) for sharing.
-
-        The node graph of Python objects cannot cross a process boundary
-        without pickling every MBB and entry; the flat form can live in
-        shared memory and be traversed zero-copy by
-        :class:`repro.serve.packed.PackedRTree`.  Layout (``m`` nodes, node 0
-        is the root):
-
-        * ``node_lower``/``node_upper`` — ``(m, d)`` MBB corners (``NaN``
-          rows for the empty root);
-        * ``node_is_leaf`` — ``(m,)`` bool;
-        * ``node_first``/``node_count`` — per node, the slice of
-          ``child_nodes`` (internal: BFS positions of its children) or of
-          ``entry_ids`` (leaf: record ids of its entries) it owns.
-
-        Entry *points* are not duplicated: a leaf entry's coordinates are the
-        record's row in the store buffer, so consumers index the shared
-        values matrix by ``entry_ids``.
-        """
-        order: list[RTreeNode] = [self.root]
-        positions: dict[int, int] = {id(self.root): 0}
-        for node in order:  # grows during iteration: BFS without a deque
-            if not node.is_leaf:
-                for child in node.children:
-                    positions[id(child)] = len(order)
-                    order.append(child)
-        m = len(order)
-        d = int(self.dimension or 0)
-        node_lower = np.full((m, max(d, 1)), np.nan, dtype=float)
-        node_upper = np.full((m, max(d, 1)), np.nan, dtype=float)
-        node_is_leaf = np.zeros(m, dtype=bool)
-        node_first = np.zeros(m, dtype=np.int64)
-        node_count = np.zeros(m, dtype=np.int64)
-        child_nodes: list[int] = []
-        entry_ids: list[int] = []
-        for position, node in enumerate(order):
-            node_is_leaf[position] = node.is_leaf
-            if node.mbb is not None:
-                node_lower[position] = node.mbb.lower
-                node_upper[position] = node.mbb.upper
-            if node.is_leaf:
-                node_first[position] = len(entry_ids)
-                node_count[position] = len(node.entries)
-                entry_ids.extend(int(index) for index, _ in node.entries)
-            else:
-                node_first[position] = len(child_nodes)
-                node_count[position] = len(node.children)
-                child_nodes.extend(positions[id(child)] for child in node.children)
-        return {
-            "dimension": d,
-            "size": int(self.size),
-            "node_lower": node_lower,
-            "node_upper": node_upper,
-            "node_is_leaf": node_is_leaf,
-            "node_first": node_first,
-            "node_count": node_count,
-            "child_nodes": np.asarray(child_nodes, dtype=np.int64),
-            "entry_ids": np.asarray(entry_ids, dtype=np.int64),
-        }
-
     # ------------------------------------------------------------- traversal
-    def read_root(self) -> tuple[RTreeNode, np.ndarray | None]:
-        """The root's handle and MBB top corner (``None`` for an empty tree)."""
-        root = self.root
-        return root, None if root.mbb is None else root.mbb.top_corner
+    def read_root(self) -> tuple[int, np.ndarray | None]:
+        """The root page 0 and its MBB top corner (``None`` for an empty tree)."""
+        if not self.size:
+            return 0, None
+        return 0, self._upper[0]
 
-    def read_node(self, node: RTreeNode) -> tuple[bool, list, np.ndarray]:
-        """One node as ``(is_leaf, ids, corners)``.
+    def read_node(self, page: int) -> tuple[bool, list[int], np.ndarray]:
+        """Page ``page`` as ``(is_leaf, ids, corners)``.
 
-        For an internal node, ``ids`` are the child handles and ``corners``
-        their MBB top corners (empty children skipped); for a leaf, the
-        record ids and their rows.  ``corners`` has one row per id.
+        For an internal node, ``ids`` are the child pages and ``corners``
+        their MBB top corners; for a leaf, the record ids and their rows
+        from :attr:`values`.  ``corners`` has one row per id.
         """
-        if node.is_leaf:
-            ids = [index for index, _ in node.entries]
-            rows = [point for _, point in node.entries]
-        else:
-            ids = [child for child in node.children if child.mbb is not None]
-            rows = [child.mbb.top_corner for child in ids]
-        corners = np.array(rows, dtype=float).reshape(len(ids), self.dimension or 0)
-        return node.is_leaf, ids, corners
-
-    # ---------------------------------------------------------------- queries
-    def range_search(self, lower, upper) -> list[int]:
-        """Indices of all records inside the axis-aligned box ``[lower, upper]``."""
-        box = MBB(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-        result: list[int] = []
-        if self.root.mbb is None:
-            return result
-        stack = [self.root]
-        visited = 0
-        while stack:
-            node = stack.pop()
-            visited += 1
-            if node.mbb is None or not node.mbb.intersects(box):
-                continue
-            if node.is_leaf:
-                for index, point in node.entries:
-                    if box.contains_point(point):
-                        result.append(index)
-            else:
-                stack.extend(node.children)
-        self.count_access("search", visited)
-        return sorted(result)
-
-    def all_indices(self) -> list[int]:
-        """Indices of all records stored in the tree."""
-        result: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                result.extend(index for index, _ in node.entries)
-            else:
-                stack.extend(node.children)
-        return sorted(result)
+        ids = self._ids[page, : self._count[page]]
+        if self._is_leaf[page]:
+            return True, ids.tolist(), self.values[ids]
+        return False, ids.tolist(), self._upper[ids]
 
     def height(self) -> int:
         """Number of levels in the tree (a single leaf root has height 1)."""
-        level, node = 1, self.root
-        while not node.is_leaf:
-            node = node.children[0]
+        level, page = 1, 0
+        while self.dimension is not None and not self._is_leaf[page]:
+            page = self._ids[page, 0]
             level += 1
         return level
 
+    def fill_factor(self) -> float:
+        """Mean leaf occupancy relative to the fanout."""
+        n_leaves = self.meta["n_leaves"]
+        return self.size / (n_leaves * self.max_entries) if n_leaves else 0.0
+
     def __len__(self) -> int:
         return self.size
+
+
+def _quadratic_split(lower: np.ndarray, upper: np.ndarray,
+                     min_entries: int) -> tuple[list[int], list[int]]:
+    """Guttman's quadratic split of the boxes ``[lower[i], upper[i]]``.
+
+    The seeds are the pair wasting the most volume together (the first such
+    pair in row-major order); each other box then joins the group whose MBB
+    it enlarges less (ties: the smaller group, then the first), unless a
+    group needs every box still unassigned to reach ``min_entries``.
+    Returns the two groups' positions in assignment order.
+    """
+    volume = np.prod(upper - lower, axis=1)
+    first, second = np.triu_indices(lower.shape[0], 1)
+    waste = (np.prod(np.maximum(upper[first], upper[second])
+                     - np.minimum(lower[first], lower[second]), axis=1)
+             - volume[first] - volume[second])
+    best = int(np.argmax(waste))
+    seeds = (int(first[best]), int(second[best]))
+    groups = ([seeds[0]], [seeds[1]])
+    boxes = [[lower[seed], upper[seed]] for seed in seeds]
+    remaining = [i for i in range(lower.shape[0]) if i not in seeds]
+    for handed_out, position in enumerate(remaining):
+        unassigned = len(remaining) - handed_out
+        if len(groups[0]) + unassigned <= min_entries:
+            side = 0
+        elif len(groups[1]) + unassigned <= min_entries:
+            side = 1
+        else:
+            cost_a, cost_b = (
+                float(np.prod(np.maximum(box_upper, upper[position])
+                              - np.minimum(box_lower, lower[position])))
+                - float(np.prod(box_upper - box_lower))
+                for box_lower, box_upper in boxes
+            )
+            side = 0 if cost_a < cost_b or (
+                cost_a == cost_b and len(groups[0]) <= len(groups[1])) else 1
+        groups[side].append(position)
+        box = boxes[side]
+        box[0] = np.minimum(box[0], lower[position])
+        box[1] = np.maximum(box[1], upper[position])
+    return groups

@@ -44,7 +44,7 @@ def top_k_rtree(tree: RTree, weights, k: int) -> list[tuple[int, float]]:
     are non-negative); the search stops once ``k`` records have been popped
     whose scores dominate all remaining upper bounds.  Each expanded node is
     one ``read_node`` call and one batch scoring of its entries, so any tree
-    with the read contract (in-memory, packed or paged) works.
+    with the read contract (a heap, attached or paged tree) works.
     """
     if k <= 0:
         raise InvalidQueryError("k must be positive")

@@ -7,7 +7,7 @@ traffic:
 
 * ``store="shm"``: the records live in a
   :class:`~repro.serve.shm.SharedRecordStore`, so query workers attach the
-  buffer and the packed R-tree zero-copy instead of rebuilding;
+  buffer and a copy of the R-tree's pages zero-copy instead of rebuilding;
 * ``stripes=DEFAULT_STRIPES``: each engine cache is split into that many
   independently locked stripes, so warm queries touching different
   region-hash stripes never contend and an update's maintenance sweep

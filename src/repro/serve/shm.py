@@ -1,7 +1,7 @@
 """Shared-memory segment lifecycle and the shared record store.
 
 The serving tier keeps exactly one copy of the dataset per machine: the
-record buffer and the packed R-tree node arrays live in
+record buffer and a published copy of the R-tree's page array live in
 ``multiprocessing.shared_memory`` segments, and query workers map them
 zero-copy instead of rebuilding shard state on spawn.  Python's
 :class:`~multiprocessing.shared_memory.SharedMemory` has two well-known
@@ -261,11 +261,11 @@ class SharedRecordStore(RecordStore):
     def worker_location(self) -> dict:
         return {"buffer": self.shared_location(), "count": int(self._count)}
 
-    def publish_tree(self, flat: dict, generation: int) -> dict:
-        """Pack the tree's arrays into a fresh segment; close the previous one."""
-        arrays = {key: value for key, value in flat.items() if isinstance(value, np.ndarray)}
-        meta = {"dimension": flat["dimension"], "size": flat["size"]}
-        segment, manifest = pack_arrays(arrays, meta=meta)
+    def publish_tree(self, pages: np.ndarray, meta: dict, generation: int) -> dict:
+        """Copy the tree's page array into a fresh segment; close the previous
+        one.  Workers read the copy with :meth:`RTree.attach
+        <repro.index.rtree.RTree.attach>`."""
+        segment, manifest = pack_arrays({"pages": pages.view(np.uint8)}, meta=meta)
         previous, self._tree_segment = self._tree_segment, segment
         if previous is not None:
             previous.close()

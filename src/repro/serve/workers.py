@@ -4,10 +4,12 @@
 worker pool.  Instead of pickling the record matrix and rebuilding an R-tree
 per spawn (the ``repro.parallel`` cold-start cost), a worker *attaches* the
 segments named by the engine's :meth:`~repro.engine.engine.UTKEngine.\
-shared_descriptor` — O(1) regardless of dataset size — and traverses the
-packed tree in place.  Attachments are memoized per process and keyed by the
-descriptor's generation, so a long-lived worker re-attaches only when the
-dataset actually changed.
+shared_descriptor` — O(1) regardless of dataset size — and reads the
+published copy of the engine's R-tree pages in place: from a shared-memory
+segment with :class:`~repro.index.rtree.RTree`'s own reader, or from a page
+file through a :class:`~repro.colstore.pages.PagedRTree`.  Attachments are
+memoized per process and keyed by the descriptor's generation, so a
+long-lived worker re-attaches only when the dataset actually changed.
 
 Staleness is handled by name removal: when the owner retires a segment the
 attach raises :class:`FileNotFoundError` and the worker reports
@@ -28,7 +30,7 @@ from repro.core.jaa import JAA
 from repro.core.region import Region, hyperrectangle
 from repro.core.rsa import RSA
 from repro.core.rskyband import compute_r_skyband
-from repro.serve.packed import PackedRTree
+from repro.index.rtree import RTree
 from repro.serve.shm import AttachedSegment, attach_arrays
 
 #: Per-process attachment memo: descriptor key -> (segments, values, tree).
@@ -114,10 +116,7 @@ def _attachment(descriptor: dict) -> tuple:
     shape = tuple(descriptor["buffer"]["shape"])
     buffer = np.ndarray(shape, dtype=np.float64, buffer=buffer_segment.buf)
     values = buffer[: int(descriptor["count"])]
-    meta = descriptor["tree"]["meta"]
-    tree = PackedRTree(
-        {**arrays, "dimension": meta["dimension"], "size": meta["size"]}, values
-    )
+    tree = RTree.attach(arrays["pages"], values, descriptor["tree"]["meta"])
     triple = ((buffer_segment, tree_segment), values, tree)
     _ATTACHMENTS[key] = triple
     return triple
@@ -137,8 +136,9 @@ def _region_for(lower, upper) -> Region:
 def _evaluate(values: np.ndarray, tree, lower, upper, k: int, version: str) -> dict:
     """Filter + refine; answers are in stable record-id space already.
 
-    The packed tree only reaches live records (tombstones were detached from
-    the tree by the owner's delete), and skyband indices are buffer row ids.
+    The published tree only reaches live records (tombstones were detached
+    from the tree by the owner's delete), and skyband indices are buffer row
+    ids.
     """
     region = _region_for(lower, upper)
     k = int(k)
@@ -186,8 +186,6 @@ def worker_query_rebuild(token: int, values: np.ndarray, lower, upper, k: int,
     """The rebuild control arm: dataset by pickle, R-tree rebuilt per process."""
     cached = _REBUILT.get(int(token))
     if cached is None:
-        from repro.index.rtree import RTree
-
         matrix = np.asarray(values, dtype=float)
         cached = (matrix, RTree(matrix))
         _REBUILT.clear()
@@ -201,8 +199,6 @@ def worker_rebuild_probe(token: int, values: np.ndarray) -> dict:
     started = time.perf_counter()
     cached = _REBUILT.get(int(token))
     if cached is None:
-        from repro.index.rtree import RTree
-
         matrix = np.asarray(values, dtype=float)
         _REBUILT.clear()
         _REBUILT[int(token)] = (matrix, RTree(matrix))

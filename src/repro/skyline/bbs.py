@@ -132,7 +132,8 @@ def bbs_candidates(
     ----------
     tree:
         R-tree over the dataset: anything with ``read_root``/``read_node``
-        (:class:`~repro.index.rtree.RTree`, the packed and the paged trees).
+        (:class:`~repro.index.rtree.RTree` over any copy of its pages, and
+        :class:`~repro.colstore.pages.PagedRTree`).
     k:
         Skyband parameter: elements dominated by ``k`` or more current
         members are pruned.

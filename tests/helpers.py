@@ -11,6 +11,8 @@ The oracles here are deliberately independent from the library's algorithms:
 * ``oracle_*`` — scalar per-pair versions of the batch kernels.
 * ``bbs_candidates_loop`` — the per-element BBS traversal the library's
   node-at-a-time one replaced, kept as its reference.
+* ``trees_over`` — one R-tree, built by an insert/delete stream, read from
+  each of the page array's three backing memories.
 
 This module lives next to the tests (not inside ``conftest.py``) so that the
 test files can import it absolutely (``from helpers import ...``) under any
@@ -22,11 +24,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import tempfile
 from collections.abc import Callable
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+from repro.colstore.pages import PagedRTree, write_pages
 from repro.core.preference import scores
+from repro.index.rtree import RTree
+from repro.serve.shm import attach_arrays, pack_arrays
 from repro.skyline.bbs import BBSStatistics
 
 
@@ -196,8 +204,9 @@ def bbs_candidates_loop(tree, k: int, *,
 
     The library's traversal before it batched whole nodes, kept verbatim:
     every popped node or record is tested on its own against the members
-    through the single-probe ``dominators_of`` callback.  It walks an
-    in-memory :class:`~repro.index.rtree.RTree` through its node objects.
+    through the single-probe ``dominators_of`` callback.  It reads any tree
+    through ``read_root``/``read_node`` but handles their entries one at a
+    time.
 
     Parameters
     ----------
@@ -235,29 +244,28 @@ def bbs_candidates_loop(tree, k: int, *,
         heapq.heappush(heap, (-priority, next(counter), kind, payload))
         stats.heap_pushes += 1
 
-    root = tree.root
-    if root.mbb is None:
+    root, root_corner = tree.read_root()
+    if root_corner is None:
         return [], [], stats
-    push(0, key(root.mbb.top_corner), root)
+    push(0, key(root_corner), (root, root_corner))
 
     while heap:
         _, _, kind, payload = heapq.heappop(heap)
         if kind == 0:  # index node
-            node = payload
+            node, corner = payload
             stats.nodes_visited += 1
-            corner = node.mbb.top_corner
             if member_count >= k:
                 dominated_by = int(dominators_of(corner, member_buffer[:member_count]).sum())
                 if dominated_by >= k:
                     stats.nodes_pruned += 1
                     continue
-            if node.is_leaf:
-                for index, point in node.entries:
+            is_leaf, ids, corners = tree.read_node(node)
+            if is_leaf:
+                for index, point in zip(ids, corners):
                     push(1, key(point), (index, point))
             else:
-                for child in node.children:
-                    if child.mbb is not None:
-                        push(0, key(child.mbb.top_corner), child)
+                for child, child_corner in zip(ids, corners):
+                    push(0, key(child_corner), (child, child_corner))
         else:  # data record
             index, point = payload
             stats.records_visited += 1
@@ -278,3 +286,45 @@ def bbs_candidates_loop(tree, k: int, *,
     stats.candidate_count = len(members_idx)
     tree.count_access("search", stats.nodes_visited)
     return members_idx, members_rows, stats
+
+
+# --------------------------------------------------------------------------
+# One tree, three backing memories.
+
+def churned_tree(values, fanout, seed=0):
+    """An R-tree over every row of ``values`` that got there by a random
+    insert/delete stream: half bulk-loaded, the rest inserted, then a third
+    deleted and inserted again, so split and condensed pages are read."""
+    rng = np.random.default_rng(seed)
+    n = values.shape[0]
+    tree = RTree(values[: n // 2], max_entries=fanout)
+    tree.values = values
+    for index in rng.permutation(np.arange(n // 2, n)):
+        tree.insert(int(index), values[index])
+    churned = rng.choice(n, size=n // 3, replace=False)
+    for index in churned:
+        tree.delete(int(index), values[index])
+    for index in churned:
+        tree.insert(int(index), values[index])
+    return tree
+
+
+@contextmanager
+def trees_over(values, fanout):
+    """One churned tree's pages read from the heap, from a shared-memory
+    segment and from a page file through a two-frame buffer pool."""
+    rtree = churned_tree(values, fanout)
+    owned, manifest = pack_arrays({"pages": rtree.pages.view(np.uint8)}, meta=rtree.meta)
+    attached, arrays = attach_arrays(manifest)
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "t.pages"
+            write_pages(path, (rtree.pages,), rtree.meta)
+            yield rtree, {
+                "heap": rtree,
+                "shm": RTree.attach(arrays["pages"], values, manifest["meta"]),
+                "file": PagedRTree(path, values, pool_pages=2),
+            }
+    finally:
+        attached.close()
+        owned.close()

@@ -1,23 +1,23 @@
 """Tests for the generic, node-at-a-time BBS branch-and-bound traversal.
 
 Besides unit checks of the traversal contract, an exactness suite runs the
-r-skyband and the traditional k-skyband over the in-memory, packed and paged
-R-trees and requires the same answer as the per-element reference traversal
-(``helpers.bbs_candidates_loop``) followed by the same exact finalize pass,
-and as brute force wherever the brute-force path applies.
+r-skyband and the traditional k-skyband over one R-tree's pages in three
+backing memories — the heap tree, its pages attached from a shared-memory
+segment, and its pages in a file read through a two-frame buffer pool —
+after a random insert/delete stream, and requires the same answer as the
+per-element reference traversal (``helpers.bbs_candidates_loop``) followed
+by the same exact finalize pass, and as brute force wherever the
+brute-force path applies.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import bbs_candidates_loop
+from helpers import bbs_candidates_loop, trees_over
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import random_region
-from repro.colstore.pages import PagedRTree, write_pages
+from repro.colstore.pages import PagedRTree
 from repro.core.dominance import RDominance
 from repro.core.preference import scores
 from repro.core.region import Region
@@ -25,7 +25,6 @@ from repro.core.rskyband import compute_r_skyband, skyband_from_candidates
 from repro.datasets.synthetic import synthetic_dataset
 from repro.index.rtree import RTree
 from repro.kernels.dominance import dominance_matrix, dominators_mask
-from repro.serve.packed import PackedRTree
 from repro.skyline.bbs import bbs_candidates
 from repro.skyline.dominance import k_skyband_bruteforce
 from repro.skyline.skyband import k_skyband
@@ -136,15 +135,6 @@ class TestTraversal:
 # ---------------------------------------------------------------- exactness
 
 
-def trees_over(values, fanout, directory):
-    """The in-memory, packed and paged (4-page pool) trees over ``values``."""
-    rtree = RTree(values, max_entries=fanout)
-    flat = rtree.flatten()
-    write_pages(directory / "t.pages", flat, fanout=fanout)
-    paged = PagedRTree(directory / "t.pages", values, pool_pages=4)
-    return rtree, {"rtree": rtree, "packed": PackedRTree(flat, values), "paged": paged}
-
-
 def assert_pool_balanced(tree):
     if isinstance(tree, PagedRTree):
         pool = tree.pool
@@ -211,8 +201,7 @@ class TestExactness:
     @given(skyband_inputs())
     def test_r_skyband_matches_loop_traversal_and_brute_force(self, case):
         values, region, k, fanout = case
-        with tempfile.TemporaryDirectory() as scratch:
-            rtree, trees = trees_over(values, fanout, Path(scratch))
+        with trees_over(values, fanout) as (rtree, trees):
             expected_indices, expected_adjacency = loop_r_skyband(rtree, values, region, k)
             brute = compute_r_skyband(values, region, k) if values.shape[0] <= 512 else None
             for name, tree in trees.items():
@@ -228,8 +217,7 @@ class TestExactness:
     @given(skyband_inputs())
     def test_k_skyband_matches_loop_traversal_and_brute_force(self, case):
         values, _, k, fanout = case
-        with tempfile.TemporaryDirectory() as scratch:
-            rtree, trees = trees_over(values, fanout, Path(scratch))
+        with trees_over(values, fanout) as (rtree, trees):
             expected = loop_k_skyband(rtree, k)
             brute = k_skyband_bruteforce(values, k)
             for name, tree in trees.items():
@@ -238,26 +226,26 @@ class TestExactness:
                 assert members.tolist() == brute.tolist(), name
                 assert_pool_balanced(tree)
 
-    def test_empty_tree(self, tmp_path):
+    def test_empty_tree(self):
         values = np.zeros((0, 3))
         region = random_region(3, 0.05, np.random.default_rng(0))
-        _, trees = trees_over(values, 4, tmp_path)
-        for name, tree in trees.items():
-            assert compute_r_skyband(values, region, 2, tree=tree).size == 0, name
-            assert k_skyband(values, 2, tree=tree).size == 0, name
-            assert_pool_balanced(tree)
+        with trees_over(values, 4) as (_, trees):
+            for name, tree in trees.items():
+                assert compute_r_skyband(values, region, 2, tree=tree).size == 0, name
+                assert k_skyband(values, 2, tree=tree).size == 0, name
+                assert_pool_balanced(tree)
 
-    def test_region_without_vertices(self, tmp_path):
+    def test_region_without_vertices(self):
         # Pairwise LP tests instead of vertex scores; correct, not fast.
         values = np.round(np.random.default_rng(12).random((40, 3)), 2)
         region = Region(np.vstack([np.eye(2), -np.eye(2)]), np.array([0.3, 0.3, -0.25, -0.25]))
         assert region.vertices is None
-        rtree, trees = trees_over(values, 4, tmp_path)
-        expected_indices, expected_adjacency = loop_r_skyband(rtree, values, region, 2)
-        brute = compute_r_skyband(values, region, 2)
-        assert brute.indices.tolist() == expected_indices.tolist()
-        for name, tree in trees.items():
-            skyband = compute_r_skyband(values, region, 2, tree=tree)
-            assert skyband.indices.tolist() == expected_indices.tolist(), name
-            assert np.array_equal(skyband.adjacency, expected_adjacency), name
-            assert_pool_balanced(tree)
+        with trees_over(values, 4) as (rtree, trees):
+            expected_indices, expected_adjacency = loop_r_skyband(rtree, values, region, 2)
+            brute = compute_r_skyband(values, region, 2)
+            assert brute.indices.tolist() == expected_indices.tolist()
+            for name, tree in trees.items():
+                skyband = compute_r_skyband(values, region, 2, tree=tree)
+                assert skyband.indices.tolist() == expected_indices.tolist(), name
+                assert np.array_equal(skyband.adjacency, expected_adjacency), name
+                assert_pool_balanced(tree)

@@ -1,17 +1,21 @@
 """Streaming STR bulk load: same tree whether sorts fit in memory or not.
 
-The loader mirrors the in-memory R-tree's STR partitioning; because both
-its in-memory and external sort paths are stable, a build forced through
-the external sample-splitter passes must produce a **byte-identical** page
-file to the comfortable in-memory build.  Answers must match the in-memory
+The one STR loader builds both the heap R-tree's page array and page files.
+Because both its in-memory and external sort paths are stable, a build
+forced through the external sample-splitter passes must produce a
+**byte-identical** page file to the comfortable in-memory build, and the
+heap tree's pages must be those same bytes.  A build that fits its row
+budget makes no scratch files at all.  Answers must match the in-memory
 R-tree regardless of path, tombstones must be excluded, and the degenerate
 empty store must produce a valid (empty) paged tree.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
-from repro.colstore import ColumnarRecordStore, build_paged_rtree
+from repro.colstore import ColumnarRecordStore, build_paged_rtree, read_meta
 from repro.colstore.pages import PagedRTree
 from repro.core.region import hyperrectangle
 from repro.core.rskyband import compute_r_skyband
@@ -37,6 +41,29 @@ class TestStreamingBuild:
         # budget far below the dataset forces the sample-splitter passes.
         build_paged_rtree(store, forced, max_entries=16, budget_rows=64)
         assert comfortable.read_bytes() == forced.read_bytes()
+
+    @pytest.mark.parametrize("budget_rows", [1 << 20, 64])
+    @pytest.mark.parametrize("fanout", [5, 16])
+    def test_rtree_pages_are_the_page_file(self, tmp_path, values, fanout, budget_rows):
+        build_paged_rtree(values, tmp_path / "t.pages", max_entries=fanout,
+                          budget_rows=budget_rows)
+        tree = RTree(values, max_entries=fanout)
+        assert tree.pages.tobytes() == (tmp_path / "t.pages").read_bytes()
+        assert tree.meta == read_meta(tmp_path / "t.pages")
+
+    def test_build_within_budget_makes_no_scratch(self, tmp_path, values, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a build within budget_rows made a temp directory")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        build_paged_rtree(values, tmp_path / "t.pages", max_entries=16,
+                          budget_rows=len(values), scratch_dir=tmp_path / "scratch")
+        RTree(values)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "t.pages", "t.pages.meta.json"]
+        with pytest.raises(AssertionError, match="temp directory"):
+            build_paged_rtree(values, tmp_path / "u.pages", max_entries=16,
+                              budget_rows=len(values) - 1)
 
     def test_answers_match_in_memory_rtree(self, tmp_path, values):
         build_paged_rtree(values, tmp_path / "t.pages", max_entries=16,

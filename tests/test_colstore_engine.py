@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.colstore.attach import attach_engine_inputs
+from repro.colstore.attach import INDEX_NAME, attach_engine_inputs
 from repro.core.api import make_engine
 from repro.core.region import hyperrectangle
 from repro.core.scoring import PowerScoring
@@ -102,6 +102,47 @@ class TestReadOnlyEngine:
         assert engine.serve_utk2(region(), 2)[1] == "hit"
         expected = make_engine(data).utk1(region(), 3).indices
         assert engine.utk1(region(), 3).indices == expected
+
+
+class TestReadOnlyDescriptor:
+    """A read-only paged engine's worker descriptor names its persisted
+    ``rtree.pages``: the file already is the one page format."""
+
+    BOXES = (([0.1, 0.1], [0.3, 0.3]), ([0.2, 0.05], [0.3, 0.2]), ([0.4, 0.3], [0.45, 0.4]))
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_workers_read_the_persisted_index(self, tmp_path, attached):
+        data = synthetic_dataset("IND", 300, 3, seed=6)
+        built = make_engine(data, store="colstore", store_dir=tmp_path)
+        engine = make_engine(None, store="colstore", store_dir=tmp_path) if attached else built
+        expected = []
+        try:
+            descriptor = engine.shared_descriptor()
+            assert descriptor["kind"] == "colstore"
+            assert descriptor["tree"]["path"] == str(tmp_path / INDEX_NAME)
+            for lower, upper in self.BOXES:
+                region = hyperrectangle(lower, upper)
+                for k in (1, 3):
+                    answer = worker_query(descriptor, lower, upper, k, "both")
+                    assert not answer["stale"]
+                    utk1 = sorted(int(i) for i in engine.utk1(region, k).indices)
+                    assert answer["utk1"] == utk1
+                    assert answer["utk2"] == sorted(
+                        sorted(int(i) for i in s)
+                        for s in engine.utk2(region, k).distinct_top_k_sets
+                    )
+                    expected.append((region, k, utk1))
+        finally:
+            reset_worker_state()
+            engine.close()
+            built.close()
+        # Closing left the store and its index in place: it re-attaches.
+        reopened = make_engine(None, store="colstore", store_dir=tmp_path)
+        try:
+            for region, k, utk1 in expected:
+                assert sorted(int(i) for i in reopened.utk1(region, k).indices) == utk1
+        finally:
+            reopened.close()
 
 
 class TestThreadedBatch:

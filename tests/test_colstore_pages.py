@@ -4,17 +4,18 @@ Pool invariants under test: pinned pages are never evicted, the resident
 set never exceeds capacity, ``hits + misses == lookups`` and
 ``resident == misses - evictions`` (stats conservation), and exhausting a
 fully pinned pool raises instead of over-committing.  The paged tree must
-answer exactly like the in-memory R-tree it was serialized from.
+answer exactly like the in-memory R-tree whose pages it holds.
 """
 
 import numpy as np
 import pytest
 
 from repro.colstore import read_meta, write_pages
-from repro.colstore.pages import META_SUFFIX, BufferPool, PagedRTree, page_dtype
+from repro.colstore.pages import META_SUFFIX, BufferPool, PagedRTree
 from repro.core.region import hyperrectangle
 from repro.core.rskyband import compute_r_skyband
 from repro.exceptions import StorageError
+from repro.index.pages import page_dtype
 from repro.index.rtree import RTree
 
 
@@ -26,7 +27,7 @@ def values():
 @pytest.fixture
 def paged(tmp_path, values):
     tree = RTree(values, max_entries=8)
-    write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+    write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
     return PagedRTree(tmp_path / "t.pages", values)
 
 
@@ -46,7 +47,7 @@ class TestPageFile:
 
     def test_meta_sidecar_round_trips(self, tmp_path, values):
         tree = RTree(values, max_entries=8)
-        meta = write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+        meta = write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
         assert read_meta(tmp_path / "t.pages") == meta
         assert meta["schema"] == 1
         assert meta["size"] == 300
@@ -54,16 +55,11 @@ class TestPageFile:
 
     def test_schema_mismatch_is_rejected(self, tmp_path, values):
         tree = RTree(values, max_entries=8)
-        write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+        write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
         meta_path = tmp_path / ("t.pages" + META_SUFFIX)
         meta_path.write_text(meta_path.read_text().replace('"schema": 1', '"schema": 9'))
         with pytest.raises(StorageError, match="schema"):
             PagedRTree(tmp_path / "t.pages", values)
-
-    def test_fanout_overflow_is_rejected(self, tmp_path, values):
-        tree = RTree(values, max_entries=8)
-        with pytest.raises(StorageError, match="fanout"):
-            write_pages(tmp_path / "t.pages", tree.flatten(), fanout=4)
 
 
 class TestBufferPool:
@@ -165,7 +161,7 @@ class TestPagedRTree:
         # Expanding a resident internal page again does no child lookups; an
         # evicted page forgets its cache and looks its children up again.
         tree = RTree(values, max_entries=8)
-        write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+        write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
         paged = PagedRTree(tmp_path / "t.pages", values, pool_pages=4)
         first = paged.read_node(0)
         lookups = paged.pool.stats["hits"] + paged.pool.stats["misses"]
@@ -181,7 +177,7 @@ class TestPagedRTree:
 
     def test_page_count_mismatch_is_detected(self, tmp_path, values):
         tree = RTree(values, max_entries=8)
-        write_pages(tmp_path / "t.pages", tree.flatten(), fanout=8)
+        write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
         with open(tmp_path / "t.pages", "ab") as handle:
             handle.write(b"\0" * read_meta(tmp_path / "t.pages")["page_size"])
         with pytest.raises(StorageError, match="pages"):

@@ -13,12 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.colstore import (
-    PARQUET_AVAILABLE,
-    ColumnarRecordStore,
-    attach_columns,
-    read_manifest,
-)
+from repro.colstore import ColumnarRecordStore, attach_columns, read_manifest
 from repro.colstore.store import write_manifest
 from repro.dynamic.store import RecordStore
 from repro.exceptions import InvalidDatasetError, StorageError
@@ -195,25 +190,3 @@ class TestInterleavedEquivalence:
                 )
         finally:
             store.close()
-
-
-class TestParquet:
-    @pytest.mark.skipif(not PARQUET_AVAILABLE, reason="pyarrow not installed")
-    def test_round_trip(self, tmp_path):
-        from repro.colstore import export_parquet, import_parquet
-
-        values = small_values(10)
-        store = ColumnarRecordStore(values, directory=tmp_path / "a")
-        store.delete(4)
-        export_parquet(store, tmp_path / "dump.parquet")
-        restored = import_parquet(tmp_path / "dump.parquet", tmp_path / "b")
-        ids, snapshot = store.snapshot()
-        np.testing.assert_array_equal(restored.matrix, snapshot)
-
-    @pytest.mark.skipif(PARQUET_AVAILABLE, reason="pyarrow installed")
-    def test_missing_pyarrow_names_the_extra(self, tmp_path):
-        from repro.colstore import export_parquet
-
-        store = ColumnarRecordStore(small_values(), directory=tmp_path)
-        with pytest.raises(StorageError, match=r"\[parquet\]"):
-            export_parquet(store, tmp_path / "dump.parquet")

@@ -249,7 +249,8 @@ class TestInstrumentedSubsystems:
         from repro.colstore.pages import PagedRTree, write_pages
 
         values = np.random.default_rng(4).random((300, 3))
-        write_pages(tmp_path / "t.pages", RTree(values, max_entries=8).flatten(), fanout=8)
+        tree = RTree(values, max_entries=8)
+        write_pages(tmp_path / "t.pages", (tree.pages,), tree.meta)
         paged = PagedRTree(tmp_path / "t.pages", values, pool_pages=2)
         runtime.enable()
         for page in (0, 1, 0, 2):  # miss, miss, hit, miss + eviction
@@ -267,20 +268,25 @@ class TestInstrumentedSubsystems:
         assert not metric_names.CACHE_EVENTS.samples()
 
     def test_rtree_access_counters(self):
+        from repro.skyline.skyband import k_skyband
+
         rng = np.random.default_rng(3)
-        points = rng.random((64, 3))
-        tree = RTree(points, max_entries=4)
-        tree.range_search([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
+        points = np.vstack([rng.random((64, 3)), [[0.5, 0.5, 0.5]]])
+        tree = RTree(points[:64], max_entries=4)
+        tree.values = points
+        k_skyband(points[:64], 2, tree=tree)  # a BBS traversal
         assert tree.access_counts["search"] > 0
-        tree.insert(100, [0.5, 0.5, 0.5])
+        tree.insert(64, points[64])
         assert tree.access_counts["insert"] > 0
-        tree.delete(100, [0.5, 0.5, 0.5])
+        tree.delete(64, points[64])
         assert tree.access_counts["delete"] > 0
         # Mirrored into the registry only while enabled.
         assert not metric_names.RTREE_NODE_ACCESSES.samples()
         runtime.enable()
-        tree.range_search([0.0, 0.0, 0.0], [0.2, 0.2, 0.2])
-        assert metric_names.RTREE_NODE_ACCESSES.value(op="search") > 0
+        searched = tree.access_counts["search"]
+        k_skyband(points[:64], 1, tree=tree)
+        assert (metric_names.RTREE_NODE_ACCESSES.value(op="search")
+                == tree.access_counts["search"] - searched > 0)
 
     def test_engine_serve_publishes_query_metrics(self):
         data, region = small_instance()

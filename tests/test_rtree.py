@@ -1,10 +1,12 @@
-"""Unit and property tests for the R-tree.
+"""Unit and property tests for the R-tree over its page array.
 
 The hypothesis suites check the structural invariants across random insert /
-delete workloads: every node's MBB is *tight* (exactly the bounds of the
-points beneath it, not merely covering), every non-root node respects the
-``min_entries``/``max_entries`` fill bounds, ``range_search`` agrees with
-brute force, and ``__len__``/``all_indices`` stay consistent.
+delete workloads, reading the tree through ``read_root``/``read_node`` and
+its page rows: no node holds more than ``max_entries``, no non-root node
+fewer than ``min_entries``, every node's MBB is *tight* (exactly the bounds
+of what lies beneath it, not merely covering), every live id sits in exactly
+one leaf, and no freed page is reachable (every page is either reachable or
+on the free list).
 """
 
 import numpy as np
@@ -20,85 +22,90 @@ common_settings = settings(
 )
 
 
-def brute_force_range(points, lower, upper):
-    lower = np.asarray(lower)
-    upper = np.asarray(upper)
-    mask = np.all((points >= lower) & (points <= upper), axis=1)
-    return sorted(np.flatnonzero(mask).tolist())
+def walk(tree: RTree):
+    """``(page, is_leaf, ids, corners, is_root)`` of every reachable node."""
+    root, _ = tree.read_root()
+    assert root == 0
+    stack = [(root, True)]
+    while stack:
+        page, is_root = stack.pop()
+        is_leaf, ids, corners = tree.read_node(page)
+        yield page, is_leaf, ids, corners, is_root
+        if not is_leaf:
+            stack.extend((child, False) for child in ids)
+
+
+def leaf_ids(tree: RTree) -> list[int]:
+    return sorted(index for _, is_leaf, ids, _, _ in walk(tree) if is_leaf for index in ids)
 
 
 def assert_invariants(tree: RTree, expected: dict[int, np.ndarray]):
     """Structural invariants against the expected ``{index: point}`` content."""
     assert len(tree) == len(expected)
-    assert tree.all_indices() == sorted(expected)
     if not expected:
-        assert tree.root.mbb is None
-        return
-    stack = [(tree.root, True)]
+        root, corner = tree.read_root()
+        assert corner is None
+        assert tree.read_node(root)[:2] == (True, [])
+        assert np.isnan(tree.pages["upper"][root]).all()
+    pages = tree.pages
     seen: list[int] = []
-    while stack:
-        node, is_root = stack.pop()
-        count = len(node.entries) if node.is_leaf else len(node.children)
-        assert count <= tree.max_entries
-        if not is_root:
-            assert count >= tree.min_entries, "non-root node below the minimum fill"
-        if node.is_leaf:
-            points = np.array([point for _, point in node.entries])
-            seen.extend(index for index, _ in node.entries)
-            for index, point in node.entries:
-                assert np.array_equal(point, expected[index])
+    reachable: list[int] = []
+    for page, is_leaf, ids, corners, is_root in walk(tree):
+        reachable.append(page)
+        assert len(ids) <= tree.max_entries
+        if is_root:
+            assert is_leaf or len(ids) >= 2, "an internal root with one child"
+            if not ids:
+                continue
         else:
-            assert all(child.parent is node for child in node.children)
-            points = np.array(
-                [bound for child in node.children for bound in (child.mbb.lower, child.mbb.upper)]
-            )
-            stack.extend((child, False) for child in node.children)
+            assert len(ids) >= tree.min_entries, "non-root node below the minimum fill"
+        row = pages[page]
+        assert bool(row["is_leaf"]) == is_leaf and row["count"] == len(ids)
+        if is_leaf:
+            seen.extend(ids)
+            for index, point in zip(ids, corners):
+                assert np.array_equal(point, expected[index])
+            lower = upper = corners
+        else:
+            assert np.array_equal(corners, pages["upper"][ids])
+            lower, upper = pages["lower"][ids], pages["upper"][ids]
         # Tight MBB: exactly the bounds of the contents, not merely covering.
-        assert np.allclose(node.mbb.lower, points.min(axis=0), atol=1e-12)
-        assert np.allclose(node.mbb.upper, points.max(axis=0), atol=1e-12)
+        assert np.array_equal(row["lower"], lower.min(axis=0))
+        assert np.array_equal(row["upper"], upper.max(axis=0))
     assert sorted(seen) == sorted(expected)
+    free = tree._free
+    assert not set(reachable) & set(free), "a freed page is reachable"
+    assert sorted(reachable + free) == list(range(pages.shape[0])), "a page leaked"
 
 
 class TestBulkLoad:
-    def test_all_indices_present(self):
+    def test_every_id_is_in_a_leaf(self):
         rng = np.random.default_rng(0)
         points = rng.random((500, 3))
         tree = RTree(points)
-        assert tree.all_indices() == list(range(500))
+        assert leaf_ids(tree) == list(range(500))
         assert len(tree) == 500
 
     def test_empty_bulk_load(self):
         tree = RTree(np.zeros((0, 2)))
-        assert tree.all_indices() == []
-        assert tree.root.mbb is None
+        assert leaf_ids(tree) == []
+        assert tree.read_root()[1] is None
+        assert_invariants(tree, {})
 
     def test_node_capacity_respected(self):
         rng = np.random.default_rng(1)
         tree = RTree(rng.random((300, 2)), max_entries=8)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                assert len(node.entries) <= 8
-            else:
-                assert len(node.children) <= 8
-                stack.extend(node.children)
+        assert all(len(ids) <= 8 for _, _, ids, _, _ in walk(tree))
 
     def test_mbbs_cover_children(self):
         rng = np.random.default_rng(2)
         points = rng.random((400, 3))
         tree = RTree(points)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for index, point in node.entries:
-                    assert node.mbb.contains_point(point, tol=1e-12)
-            else:
-                for child in node.children:
-                    assert np.all(node.mbb.lower <= child.mbb.lower + 1e-12)
-                    assert np.all(node.mbb.upper >= child.mbb.upper - 1e-12)
-                    stack.append(child)
+        lower, upper = tree.pages["lower"], tree.pages["upper"]
+        for page, is_leaf, ids, corners, _ in walk(tree):
+            inner_lower = corners if is_leaf else lower[ids]
+            assert np.all(lower[page] <= inner_lower + 1e-12)
+            assert np.all(upper[page] >= corners - 1e-12)
 
     def test_height_grows_logarithmically(self):
         rng = np.random.default_rng(3)
@@ -119,17 +126,30 @@ class TestInsertion:
         rng = np.random.default_rng(4)
         points = rng.random((200, 2))
         tree = RTree(max_entries=8)
+        tree.values = points
         for index, point in enumerate(points):
             tree.insert(index, point)
-        assert tree.all_indices() == list(range(200))
+        assert leaf_ids(tree) == list(range(200))
 
     def test_insert_after_bulk_load(self):
         rng = np.random.default_rng(5)
-        points = rng.random((100, 3))
-        tree = RTree(points)
-        tree.insert(100, rng.random(3))
-        assert 100 in tree.all_indices()
+        points = rng.random((101, 3))
+        tree = RTree(points[:100])
+        tree.values = points  # the record buffer grew by the new row
+        tree.insert(100, points[100])
+        assert 100 in leaf_ids(tree)
         assert len(tree) == 101
+
+    def test_enlargement_tie_goes_to_the_smaller_leaf(self):
+        # Both leaves contain the new point (zero enlargement each); the
+        # descent must pick the smaller-volume one, the later child here.
+        points = np.array([(0.0, 0.0), (0.1, 1.0), (0.5, 0.0), (0.5, 1.0),
+                           (0.5, 0.4), (0.5, 0.6), (0.6, 0.4), (0.6, 0.6), (0.5, 0.5)])
+        tree = RTree(points[:8], max_entries=5)
+        tree.values = points
+        _, leaves, _ = tree.read_node(0)
+        tree.insert(8, points[8])
+        assert [tree.read_node(leaf)[1] for leaf in leaves] == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
 
     def test_insert_dimension_mismatch(self):
         tree = RTree(np.random.default_rng(0).random((10, 2)))
@@ -140,19 +160,11 @@ class TestInsertion:
         rng = np.random.default_rng(6)
         tree = RTree(max_entries=6)
         points = rng.random((150, 2))
+        tree.values = points
         for index, point in enumerate(points):
             tree.insert(index, point)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for index, point in node.entries:
-                    assert node.mbb.contains_point(point, tol=1e-12)
-            else:
-                for child in node.children:
-                    assert np.all(node.mbb.lower <= child.mbb.lower + 1e-12)
-                    assert np.all(node.mbb.upper >= child.mbb.upper - 1e-12)
-                    stack.append(child)
+        assert tree.height() >= 3  # root splits moved the old roots off page 0
+        assert_invariants(tree, dict(enumerate(points)))
 
 
 class TestDelete:
@@ -172,7 +184,7 @@ class TestDelete:
         points = rng.random((50, 2))
         tree = RTree(points, max_entries=5)
         tree.delete(17)
-        assert 17 not in tree.all_indices()
+        assert 17 not in leaf_ids(tree)
         assert len(tree) == 49
 
     def test_delete_missing_raises(self):
@@ -188,7 +200,7 @@ class TestDelete:
         points = rng.random((40, 2))
         tree = RTree(points, max_entries=5)
         tree.delete(3, np.array([99.0, 99.0]))  # hint misses; falls back to a scan
-        assert 3 not in tree.all_indices()
+        assert 3 not in leaf_ids(tree)
 
     def test_delete_everything_leaves_an_empty_tree(self):
         rng = np.random.default_rng(13)
@@ -197,24 +209,10 @@ class TestDelete:
         for index in rng.permutation(64):
             tree.delete(int(index), points[index])
         assert len(tree) == 0
-        assert tree.all_indices() == []
-        assert tree.root.is_leaf and tree.root.mbb is None
-        tree.insert(7, points[0])  # the empty tree accepts new records again
-        assert tree.all_indices() == [7]
-
-    def test_range_search_after_deletes(self):
-        rng = np.random.default_rng(14)
-        points = rng.random((200, 3))
-        tree = RTree(points, max_entries=8)
-        removed = set(range(0, 200, 3))
-        for index in removed:
-            tree.delete(index, points[index])
-        keep = np.array(sorted(set(range(200)) - removed))
-        for _ in range(10):
-            lower = rng.random(3) * 0.5
-            upper = lower + rng.random(3) * 0.5
-            mask = np.all((points[keep] >= lower) & (points[keep] <= upper), axis=1)
-            assert tree.range_search(lower, upper) == sorted(keep[mask].tolist())
+        assert leaf_ids(tree) == []
+        assert_invariants(tree, {})
+        tree.insert(7, points[7])  # the empty tree accepts new records again
+        assert leaf_ids(tree) == [7]
 
 
 class TestInvariantProperties:
@@ -229,6 +227,7 @@ class TestInvariantProperties:
         rng = np.random.default_rng(seed)
         points = rng.random((count, dim))
         tree = RTree(max_entries=max_entries)
+        tree.values = points
         for index, point in enumerate(points):
             tree.insert(index, point)
         assert_invariants(tree, {i: points[i] for i in range(count)})
@@ -259,6 +258,7 @@ class TestInvariantProperties:
         tree = RTree(points[:split], max_entries=max_entries) if split else RTree(
             max_entries=max_entries
         )
+        tree.values = points
         alive = {i: points[i] for i in range(split)}
         next_index = split
         for _ in range(count):
@@ -271,33 +271,14 @@ class TestInvariantProperties:
                 alive[next_index] = points[next_index]
                 next_index += 1
         assert_invariants(tree, alive)
-        lower = rng.random(3) * 0.5
-        upper = lower + rng.random(3) * 0.5
-        expected = sorted(
-            index
-            for index, point in alive.items()
-            if np.all(point >= lower) and np.all(point <= upper)
-        )
-        assert tree.range_search(lower, upper) == expected
-
-
-class TestRangeSearch:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.random((400, 3))
-        tree = RTree(points)
-        for _ in range(10):
-            lower = rng.random(3) * 0.5
-            upper = lower + rng.random(3) * 0.5
-            assert tree.range_search(lower, upper) == brute_force_range(points, lower, upper)
-
-    def test_empty_tree_range(self):
-        tree = RTree(np.zeros((0, 2)))
-        assert tree.range_search([0, 0], [1, 1]) == []
-
-    def test_full_domain_range_returns_everything(self):
-        rng = np.random.default_rng(9)
-        points = rng.random((120, 2))
-        tree = RTree(points)
-        assert tree.range_search([0, 0], [1, 1]) == list(range(120))
+        # Down to an empty tree (root shrinks at page 0) and back up again
+        # (root splits at page 0), reusing the freed pages.
+        survivors = sorted(alive)
+        for victim in rng.permutation(survivors):
+            tree.delete(int(victim), points[victim] if hint else None)
+            del alive[int(victim)]
+        assert_invariants(tree, alive)
+        for index in survivors:
+            tree.insert(index, points[index])
+            alive[index] = points[index]
+        assert_invariants(tree, alive)

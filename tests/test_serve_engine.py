@@ -3,7 +3,7 @@
 Equivalence suite for :class:`~repro.engine.engine.UTKEngine` across its
 record stores (memory, shm, colstore) and the serving tier's striped
 defaults (:class:`~repro.serve.engine.ServeEngine`): identical answers on a
-churn stream, identical packed-tree traversals, identical worker answers
+churn stream, identical traversals of attached tree pages, identical worker answers
 through the shared-memory descriptor, and the seqlock write-guard semantics
 (odd sequence and overlapping updates both veto a cache publish) over every
 store, which all share the one guarded query path.
@@ -24,7 +24,7 @@ from repro.engine.cache import StripedCache
 from repro.engine.engine import CACHE_NAMES
 from repro.index.rtree import RTree
 from repro.serve.engine import ServeEngine
-from repro.serve.packed import PackedRTree
+from repro.serve.shm import attach_arrays, pack_arrays
 from repro.serve.workers import reset_worker_state, worker_query
 
 
@@ -94,35 +94,48 @@ class TestChurnEquivalence:
             engine.close()
 
 
-class TestPackedTree:
-    def test_flatten_roundtrip_matches_live_tree(self, rng):
+class TestPublishedTree:
+    def test_attached_pages_match_live_tree(self, rng):
+        # A tree that took inserts and deletes, published the way
+        # SharedRecordStore does and attached the way a worker does: the
+        # attached reader walks the same pages to the same answers.
         values = rng.uniform(0.0, 10.0, size=(150, 3))
-        tree = RTree(values)
-        packed = PackedRTree(tree.flatten(), values)
-        assert len(packed) == len(tree)
-        assert packed.dimension == tree.dimension
-        # Both trees read node by node in lockstep: same leaf ids and rows,
-        # same child top corners.
-        (live_root, live_corner), (flat_root, flat_corner) = tree.read_root(), packed.read_root()
-        assert np.array_equal(live_corner, flat_corner)
-        stack = [(live_root, flat_root)]
-        while stack:
-            live_node, flat_node = stack.pop()
-            live_leaf, live_ids, live_corners = tree.read_node(live_node)
-            flat_leaf, flat_ids, flat_corners = packed.read_node(flat_node)
-            assert live_leaf == flat_leaf
-            assert np.array_equal(live_corners, flat_corners)
-            if live_leaf:
-                assert live_ids == flat_ids
-            else:
-                stack.extend(zip(live_ids, flat_ids))
-        region = hyperrectangle([0.1, 0.1], [0.3, 0.3])
-        for k in (1, 2, 4):
-            live = compute_r_skyband(values, region, k, tree=tree)
-            flat = compute_r_skyband(values, region, k, tree=packed)
-            np.testing.assert_array_equal(
-                np.sort(flat.indices), np.sort(live.indices)
-            )
+        tree = RTree(values[:100])
+        tree.values = values
+        for index in range(100, 150):
+            tree.insert(index, values[index])
+        for index in range(0, 150, 3):
+            tree.delete(index, values[index])
+        segment, manifest = pack_arrays({"pages": tree.pages.view(np.uint8)},
+                                        meta=tree.meta)
+        try:
+            attached_segment, arrays = attach_arrays(manifest)
+            attached = RTree.attach(arrays["pages"], values, manifest["meta"])
+            assert len(attached) == len(tree) == 100
+            assert attached.dimension == tree.dimension
+            assert attached.pages.tobytes() == tree.pages.tobytes()
+            assert not attached.pages.flags.writeable
+            (live_root, live_corner), (shm_root, shm_corner) = (
+                tree.read_root(), attached.read_root())
+            assert np.array_equal(live_corner, shm_corner)
+            stack = [(live_root, shm_root)]
+            while stack:
+                live_node, shm_node = stack.pop()
+                live_leaf, live_ids, live_corners = tree.read_node(live_node)
+                shm_leaf, shm_ids, shm_corners = attached.read_node(shm_node)
+                assert (live_leaf, live_ids) == (shm_leaf, shm_ids)
+                assert np.array_equal(live_corners, shm_corners)
+                if not live_leaf:
+                    stack.extend(zip(live_ids, shm_ids))
+            region = hyperrectangle([0.1, 0.1], [0.3, 0.3])
+            for k in (1, 2, 4):
+                live = compute_r_skyband(values, region, k, tree=tree)
+                shm = compute_r_skyband(values, region, k, tree=attached)
+                np.testing.assert_array_equal(np.sort(shm.indices), np.sort(live.indices))
+            del attached, arrays
+            attached_segment.close()
+        finally:
+            segment.close()
 
 
 class TestSharedDescriptor:

@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import trees_over
 
-from repro.colstore.pages import PagedRTree, write_pages
 from repro.core.preference import scores
 from repro.exceptions import InvalidQueryError
 from repro.index.rtree import RTree
-from repro.serve.packed import PackedRTree
 from repro.queries.topk import (
     incremental_top_k_until,
     top_k,
@@ -63,28 +62,21 @@ class TestRTreeTopK:
         assert top_k_rtree(tree, np.array([0.5]), 3) == []
 
     @pytest.mark.parametrize("k", [1, 7, 40])
-    def test_every_tree_layout_matches_full_scan(self, tmp_path, k):
+    def test_every_tree_layout_matches_full_scan(self, k):
         values = np.round(np.random.default_rng(8).random((500, 3)), 2)
-        tree = RTree(values, max_entries=8)
-        flat = tree.flatten()
-        write_pages(tmp_path / "t.pages", flat, fanout=8)
-        layouts = {
-            "rtree": tree,
-            "packed": PackedRTree(flat, values),
-            "paged": PagedRTree(tmp_path / "t.pages", values, pool_pages=4),
-        }
         weights = np.array([0.2, 0.45])
         expected = top_k(values, weights, k)
-        for name, layout in layouts.items():
-            result = top_k_rtree(layout, weights, k)
-            # Rounded values tie; the scores agree exactly, the ids up to ties.
-            assert [score for _, score in result] == pytest.approx(
-                [score for _, score in expected], abs=1e-12
-            ), name
-            cutoff = expected[-1][1]
-            above = {index for index, score in expected if score > cutoff + 1e-12}
-            assert above <= {index for index, _ in result}, name
-        assert layouts["paged"].pool.pinned() == 0
+        with trees_over(values, 8) as (_, layouts):
+            for name, layout in layouts.items():
+                result = top_k_rtree(layout, weights, k)
+                # Rounded values tie; the scores agree exactly, the ids up to ties.
+                assert [score for _, score in result] == pytest.approx(
+                    [score for _, score in expected], abs=1e-12
+                ), name
+                cutoff = expected[-1][1]
+                above = {index for index, score in expected if score > cutoff + 1e-12}
+                assert above <= {index for index, _ in result}, name
+            assert layouts["file"].pool.pinned() == 0
 
     def test_rejects_nonpositive_k(self):
         tree = RTree(np.random.default_rng(0).random((10, 2)))
