@@ -20,9 +20,9 @@ any code:
 * ``matrix`` — run the scenario × backend matrix (the CI/nightly entry
   point): every cell oracle-checked against the SQL pushdown, artifacts
   schema-versioned, ``--gates`` additionally runs the benchmark smoke gates;
-* ``serve`` — run the serving tier: the engine over shared memory with
-  striped caches (:class:`~repro.serve.engine.ServeEngine`) behind an
-  asyncio JSONL socket protocol, draining gracefully on ``SIGTERM``;
+* ``serve`` — run the serving tier: the engine over shared memory
+  (:class:`~repro.serve.engine.ServeEngine`) behind an asyncio JSONL
+  socket protocol, draining gracefully on ``SIGTERM``;
 * ``soak`` — fire concurrent query and update clients at a running
   ``serve`` instance and verify every answer against a serial replay
   (zero stale answers allowed);
@@ -365,10 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=128,
         help="capacity of each engine cache (default 128)",
-    )
-    serve.add_argument(
-        "--stripes", type=int, default=8,
-        help="lock stripes per engine cache (default 8)",
     )
     serve.add_argument(
         "--query-threads", type=int, default=4,
@@ -980,7 +976,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     observing = args.metrics is not None or args.trace is not None
     if observing:
         _obs_start()
-    engine_kwargs = {"cache_size": args.cache_size, "stripes": args.stripes}
+    engine_kwargs = {"cache_size": args.cache_size}
     wal = None
     recovered = 0
     recovered_txids: dict = {}

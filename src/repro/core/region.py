@@ -42,6 +42,11 @@ class Region:
     """
 
     def __init__(self, a_ub, b_ub, vertices=None, *, validate: bool = True):
+        self._setup(a_ub, b_ub, vertices, validate, ball=None)
+
+    def _setup(self, a_ub, b_ub, vertices, validate: bool, ball) -> None:
+        """The constructor's body; ``ball`` is a known inscribed ball
+        ``(centre, radius)`` (a box's), ``None`` to solve the Chebyshev LP."""
         a = np.asarray(a_ub, dtype=float)
         b = np.asarray(b_ub, dtype=float).reshape(-1)
         if a.ndim != 2 or a.shape[0] != b.shape[0]:
@@ -55,7 +60,7 @@ class Region:
             if verts.ndim != 2 or verts.shape[1] != self._dim:
                 raise InvalidRegionError("vertex matrix does not match region dimension")
             self._vertices = verts
-        centre, radius = chebyshev_center(a, b, dim=self._dim)
+        centre, radius = chebyshev_center(a, b, dim=self._dim) if ball is None else ball
         if centre is None or radius <= 0.0:
             raise InvalidRegionError("region has an empty interior")
         self._chebyshev = centre
@@ -166,6 +171,9 @@ def hyperrectangle(lower, upper, *, validate: bool = True) -> Region:
 
     This is the region shape used throughout the paper's experiments: a
     hyper-cube of side length ``sigma`` placed in the preference domain.
+    The box's own facets are its only constraints, so its largest inscribed
+    ball is known without the Chebyshev LP: the smallest half-width is the
+    radius, and the box centre lies that deep.
     """
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
@@ -177,7 +185,10 @@ def hyperrectangle(lower, upper, *, validate: bool = True) -> Region:
     a = np.vstack([np.eye(dim), -np.eye(dim)])
     b = np.concatenate([upper, -lower])
     corners = np.array(list(itertools.product(*zip(lower, upper))), dtype=float)
-    return Region(a, b, vertices=corners, validate=validate)
+    half = (upper - lower) / 2.0
+    region = Region.__new__(Region)
+    region._setup(a, b, corners, validate, ball=(lower + half, float(half.min())))
+    return region
 
 
 def simplex_region(dimension: int, margin: float = 0.0) -> Region:

@@ -1,17 +1,15 @@
 """Caching primitives of the query-serving engine.
 
-Four small pieces that :class:`~repro.engine.engine.UTKEngine` composes:
+Three small pieces that :class:`~repro.engine.engine.UTKEngine` composes:
 
 * :func:`region_signature` — a stable hashable fingerprint of a query region
   (its rounded H-representation), used as the exact-match cache key;
 * :func:`region_contains` — polytope containment ``inner ⊆ outer``, the test
   behind the engine's containment-reuse path;
-* :class:`LRUCache` — a bounded mapping with least-recently-used eviction and
-  hit/miss/eviction accounting;
-* :class:`StripedCache` — ``stripes`` independently locked ``LRUCache``
-  shards behind one cache API, with the atomic conditional publish
-  (:meth:`StripedCache.put_if`) every engine cache write goes through.  One
-  stripe is a locked ``LRUCache``.
+* :class:`LRUCache` — a bounded mapping behind one lock, with
+  least-recently-used eviction, hit/miss/eviction accounting and the atomic
+  conditional publish (:meth:`LRUCache.put_if`) every engine cache write
+  goes through.
 
 Signatures are syntactic: two :class:`~repro.core.region.Region` objects built
 from the same constraints share a signature, while geometrically equal regions
@@ -24,9 +22,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import zlib
 from collections import OrderedDict
-from typing import Iterator
 
 import numpy as np
 
@@ -39,11 +35,6 @@ SIGNATURE_DECIMALS = 10
 
 #: Default tolerance of the containment test.
 CONTAINMENT_TOL = 1e-9
-
-#: Default stripe count of the serving tier's caches; 8 keeps label
-#: cardinality low while removing most same-lock collisions for the serving
-#: thread pools this repo configures.
-DEFAULT_STRIPES = 8
 
 
 def region_signature(region: Region, *, decimals: int = SIGNATURE_DECIMALS) -> str:
@@ -72,18 +63,49 @@ def region_contains(outer: Region, inner: Region, *, tol: float = CONTAINMENT_TO
     return all(inner.linear_max(row) <= rhs + tol for row, rhs in zip(a, b))
 
 
+class _CacheLock:
+    """A cache's one lock.  The fast path is one non-blocking ``acquire``;
+    only when that fails is the wait timed (and published, see
+    :class:`LRUCache`)."""
+
+    __slots__ = ("_lock", "_name")
+
+    def __init__(self, name: str | None):
+        self._lock = threading.Lock()
+        self._name = name
+
+    def __enter__(self) -> None:
+        if self._lock.acquire(blocking=False):
+            return
+        started = time.perf_counter()
+        self._lock.acquire()
+        if self._name is not None and _obs._ENABLED:
+            _metric_names.STRIPE_LOCK_WAIT_SECONDS.observe(
+                time.perf_counter() - started, cache=self._name)
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
 class LRUCache:
-    """A bounded key/value store with least-recently-used eviction.
+    """A bounded, thread-safe key/value store with least-recently-used eviction.
 
     ``get`` refreshes recency and counts a hit or a miss; ``put`` inserts or
-    refreshes and evicts the stalest entry once ``maxsize`` is exceeded.
-    ``scan`` iterates entries most-recent-first, which the engine uses for its
+    refreshes and evicts the stalest entry once ``maxsize`` is exceeded, so
+    the cache never holds more than ``maxsize`` entries.  ``scan`` returns a
+    snapshot of the entries most-recent-first, which the engine uses for its
     containment lookups (recently touched regions are the most likely parents
     of the next query in a clustered stream).
 
+    One lock guards every operation.  :meth:`put_if` checks its predicate and
+    inserts under it — the atomic conditional publish the engine's seqlock
+    guard needs — and :meth:`evict_where` runs its predicate under it too, so
+    neither predicate may call back into the same cache.
+
     A ``name`` makes the cache *observable*: while the observability layer is
     enabled, hits, misses and evictions are additionally published to the
-    ``repro_cache_events_total{cache=<name>,event=...}`` registry series.
+    ``repro_cache_events_total{cache=<name>,event=...}`` registry series, and
+    contended lock waits to ``repro_stripe_lock_wait_seconds{cache=<name>}``.
     Anonymous caches keep only their local counters.
     """
 
@@ -93,6 +115,7 @@ class LRUCache:
         self.maxsize = int(maxsize)
         self.name = name
         self._entries: OrderedDict = OrderedDict()
+        self._lock = _CacheLock(name)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -102,26 +125,28 @@ class LRUCache:
             _metric_names.CACHE_EVENTS.inc(count, cache=self.name, event=event)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key) -> bool:
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     def get(self, key, default=None):
         """Value for ``key`` (refreshing its recency), or ``default``."""
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            self._publish("miss")
-            return default
-        self._entries.move_to_end(key)
-        self.hits += 1
-        self._publish("hit")
-        return value
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self.misses += 1
+                self._publish("miss")
+                return default
+            self._entries.move_to_end(key)
+            self.hits += 1
+            self._publish("hit")
+            return value
 
-    def put(self, key, value) -> None:
-        """Insert or refresh ``key``; evict the least-recent beyond capacity."""
+    def _put(self, key, value) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
@@ -129,10 +154,25 @@ class LRUCache:
             self.evictions += 1
             self._publish("eviction")
 
-    def touch(self, key) -> None:
-        """Refresh recency without affecting hit/miss counters."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
+    def put(self, key, value) -> None:
+        """Insert or refresh ``key``; evict the least-recent beyond capacity."""
+        with self._lock:
+            self._put(key, value)
+
+    def put_if(self, key, value, predicate) -> bool:
+        """Insert ``key`` only if ``predicate()`` holds under the lock.
+
+        The check and the insert are atomic with respect to every other
+        operation — in particular an update's :meth:`evict_where` sweep, which
+        is what makes the engine's seqlock guard sound: a sweep can never slip
+        between a passing check and the put.  Returns whether the value was
+        stored.
+        """
+        with self._lock:
+            if not predicate():
+                return False
+            self._put(key, value)
+            return True
 
     def replace(self, key, value) -> bool:
         """Swap the value of an existing key; recency and counters untouched.
@@ -142,14 +182,16 @@ class LRUCache:
         entry's position in the recency order still reflects *query*
         traffic, and no phantom hit is recorded.
         """
-        if key not in self._entries:
-            return False
-        self._entries[key] = value
-        return True
+        with self._lock:
+            if key not in self._entries:
+                return False
+            self._entries[key] = value
+            return True
 
-    def scan(self) -> Iterator[tuple]:
-        """Iterate ``(key, value)`` pairs, most recently used first."""
-        return iter(list(reversed(self._entries.items())))
+    def scan(self) -> list[tuple]:
+        """Snapshot of the ``(key, value)`` pairs, most recently used first."""
+        with self._lock:
+            return list(reversed(self._entries.items()))
 
     def evict_where(self, predicate) -> int:
         """Drop every entry for which ``predicate(key, value)`` is true.
@@ -159,281 +201,30 @@ class LRUCache:
         know which entries an event invalidated (a data update, a schema
         change) evict exactly those and keep the rest of the cache warm.
         """
-        doomed = [key for key, value in self._entries.items() if predicate(key, value)]
-        for key in doomed:
-            del self._entries[key]
-        self.evictions += len(doomed)
-        self._publish("eviction", len(doomed))
-        return len(doomed)
+        with self._lock:
+            doomed = [key for key, value in self._entries.items() if predicate(key, value)]
+            for key in doomed:
+                del self._entries[key]
+            self.evictions += len(doomed)
+            self._publish("eviction", len(doomed))
+            return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def stats(self) -> dict:
         """Counter snapshot: size, capacity, hits, misses, evictions."""
-        return {
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "maxsize": self.maxsize,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LRUCache(size={len(self._entries)}/{self.maxsize}, "
                 f"hits={self.hits}, misses={self.misses})")
-
-
-def stripe_index(key, stripes: int) -> int:
-    """Stable stripe assignment for a cache key.
-
-    ``hash()`` is salted per process for strings, so the region-signature
-    keys would land on different stripes in the owner and in a worker that
-    recomputes the mapping; CRC32 of the key's ``repr`` is stable across
-    processes and runs, which keeps stripe placement reproducible in tests
-    and epoch exports comparable across snapshots.
-    """
-    return zlib.crc32(repr(key).encode("utf-8", "surrogatepass")) % stripes
-
-
-class _Stripe:
-    """One independently locked stripe: an LRU shard plus its epoch."""
-
-    __slots__ = ("lock", "cache", "epoch")
-
-    def __init__(self, maxsize: int, name: str | None):
-        self.lock = threading.Lock()
-        self.cache = LRUCache(maxsize, name=name)
-        self.epoch = 0
-
-
-class StripedCache:
-    """One logical LRU cache split over independently locked stripes.
-
-    Keys map to stripes by a stable hash (:func:`stripe_index`) — the
-    randomized splitting of hotspot values that MRVs (SIGMOD'23) apply to
-    numeric aggregates, applied here to cache bookkeeping:
-
-    * queries touching different stripes never contend;
-    * a maintenance sweep (:meth:`evict_where`, the dynamic engine's repair
-      pass) locks one stripe at a time, so it only blocks the queries whose
-      keys share a stripe with the entry it is currently repairing;
-    * each stripe carries an **epoch**, bumped whenever an update's sweep
-      changed the stripe (an eviction or an in-place :meth:`replace`), which
-      makes write skew observable per region-hash class (:meth:`stats`
-      exports it, the serve snapshot carries it as ``repro_stripe_epoch``).
-
-    Semantics relative to a single ``LRUCache`` of the same total capacity:
-    ``get``/``put``/``replace``/``touch`` behave identically as long as no
-    stripe overflows (capacity is divided evenly, so any working set of at
-    most ``maxsize // stripes`` distinct keys is exactly equivalent — the
-    property the hypothesis suite checks); under overflow, eviction is
-    least-recently-used *within the stripe*.  With one stripe every
-    operation is exactly the ``LRUCache`` one.  Predicate eviction
-    (:meth:`evict_where`) is exactly equivalent regardless of placement.
-
-    ``name`` labels both the shared ``repro_cache_events_total`` series
-    (stripes aggregate under one cache name) and the per-stripe
-    ``repro_stripe_lock_wait_seconds`` histogram, which records lock waits
-    while observability is enabled.
-    """
-
-    def __init__(self, maxsize: int, *, stripes: int = DEFAULT_STRIPES,
-                 name: str | None = None):
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        if stripes <= 0:
-            raise ValueError("stripe count must be positive")
-        self.maxsize = int(maxsize)
-        self.name = name
-        self.stripes = int(stripes)
-        per_stripe = max(1, -(-self.maxsize // self.stripes))  # ceil division
-        self._stripes = [_Stripe(per_stripe, name) for _ in range(self.stripes)]
-
-    # ------------------------------------------------------------- stripe ops
-    def stripe_of(self, key) -> int:
-        """The stripe index ``key`` maps to."""
-        return stripe_index(key, self.stripes)
-
-    def _acquire(self, stripe: _Stripe) -> None:
-        """Take a stripe lock, publishing the wait when observability is on.
-
-        The fast path (lock free, observability off) is one ``acquire``;
-        waits are only timed when the uncontended grab fails.
-        """
-        if stripe.lock.acquire(blocking=False):
-            return
-        started = time.perf_counter()
-        stripe.lock.acquire()
-        if self.name is not None and _obs._ENABLED:
-            _metric_names.STRIPE_LOCK_WAIT_SECONDS.observe(
-                time.perf_counter() - started,
-                cache=self.name,
-                stripe=str(self._stripes.index(stripe)),
-            )
-
-    def epochs(self) -> list[int]:
-        """Per-stripe epoch snapshot, by stripe index."""
-        return [stripe.epoch for stripe in self._stripes]
-
-    # ---------------------------------------------------------- LRUCache API
-    def __len__(self) -> int:
-        return sum(len(stripe.cache) for stripe in self._stripes)
-
-    def __contains__(self, key) -> bool:
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            return key in stripe.cache
-        finally:
-            stripe.lock.release()
-
-    def get(self, key, default=None):
-        """Value for ``key`` (refreshing stripe recency), or ``default``."""
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            return stripe.cache.get(key, default)
-        finally:
-            stripe.lock.release()
-
-    def put(self, key, value) -> None:
-        """Insert or refresh ``key``; evict the stripe's least-recent beyond
-        its share of the capacity."""
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            stripe.cache.put(key, value)
-        finally:
-            stripe.lock.release()
-
-    def put_if(self, key, value, predicate) -> bool:
-        """Insert ``key`` only if ``predicate()`` holds under the stripe lock.
-
-        The check and the insert are atomic with respect to every other
-        operation on the stripe — in particular an update's
-        :meth:`evict_where` sweep, which is what makes the engine's seqlock
-        guard sound: a sweep can never slip between a passing check and the
-        put.  Returns whether the value was stored.
-        """
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            if not predicate():
-                return False
-            stripe.cache.put(key, value)
-            return True
-        finally:
-            stripe.lock.release()
-
-    def touch(self, key) -> None:
-        """Refresh stripe recency without affecting hit/miss counters."""
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            stripe.cache.touch(key)
-        finally:
-            stripe.lock.release()
-
-    def replace(self, key, value) -> bool:
-        """Swap the value of an existing key; recency and counters untouched.
-
-        A swap is a maintenance repair, so it advances the stripe's epoch
-        like an eviction does.  Returns whether the key was present.
-        """
-        stripe = self._stripes[self.stripe_of(key)]
-        self._acquire(stripe)
-        try:
-            replaced = stripe.cache.replace(key, value)
-            if replaced:
-                stripe.epoch += 1
-            return replaced
-        finally:
-            stripe.lock.release()
-
-    def scan(self) -> Iterator[tuple]:
-        """Iterate ``(key, value)`` pairs, most recent first *per stripe*.
-
-        Each stripe is snapshotted under its own lock, one at a time, so a
-        scan never blocks the whole cache.  Recency order is exact within a
-        stripe and interleaved across stripes; the engine's containment
-        lookups only need "recently used entries early", which per-stripe
-        order preserves.
-        """
-        snapshots = []
-        for stripe in self._stripes:
-            self._acquire(stripe)
-            try:
-                snapshots.append(list(stripe.cache.scan()))
-            finally:
-                stripe.lock.release()
-        # Round-robin merge: the most recent entry of every stripe comes
-        # before any stripe's second-most-recent.
-        merged: list[tuple] = []
-        for position in range(max((len(s) for s in snapshots), default=0)):
-            for snapshot in snapshots:
-                if position < len(snapshot):
-                    merged.append(snapshot[position])
-        return iter(merged)
-
-    def evict_where(self, predicate) -> int:
-        """Drop every entry matching ``predicate``, one stripe at a time.
-
-        The evicted key set is exactly what a single-lock cache would drop;
-        only the blocking granularity differs (queries to other stripes
-        proceed while one stripe is swept).  A stripe whose contents changed
-        gets its epoch bumped.
-        """
-        removed = 0
-        for stripe in self._stripes:
-            self._acquire(stripe)
-            try:
-                count = stripe.cache.evict_where(predicate)
-                if count:
-                    stripe.epoch += 1
-                removed += count
-            finally:
-                stripe.lock.release()
-        return removed
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved, epochs advance)."""
-        for stripe in self._stripes:
-            self._acquire(stripe)
-            try:
-                if len(stripe.cache):
-                    stripe.epoch += 1
-                stripe.cache.clear()
-            finally:
-                stripe.lock.release()
-
-    # ---------------------------------------------------------------- stats
-    @property
-    def hits(self) -> int:
-        return sum(stripe.cache.hits for stripe in self._stripes)
-
-    @property
-    def misses(self) -> int:
-        return sum(stripe.cache.misses for stripe in self._stripes)
-
-    @property
-    def evictions(self) -> int:
-        return sum(stripe.cache.evictions for stripe in self._stripes)
-
-    def stats(self) -> dict:
-        """Aggregate counters plus the per-stripe size/epoch breakdown."""
-        return {
-            "size": len(self),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stripes": self.stripes,
-            "stripe_sizes": [len(stripe.cache) for stripe in self._stripes],
-            "stripe_epochs": self.epochs(),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StripedCache(size={len(self)}/{self.maxsize}, "
-                f"stripes={self.stripes}, hits={self.hits}, misses={self.misses})")

@@ -16,9 +16,9 @@ a dataset once and serves many queries fast through three layers:
    grow as the region shrinks (the paper's progressiveness property), so a
    cached candidate/cell set is always a superset for a contained query.
 3. **LRU eviction** — every cache is a bounded
-   :class:`~repro.engine.cache.StripedCache` (one stripe by default; the
-   serving tier splits it further) that evicts least-recently-used entries,
-   with hit/miss/eviction statistics for capacity planning.
+   :class:`~repro.engine.cache.LRUCache` behind its own lock that evicts
+   least-recently-used entries, with hit/miss/eviction statistics for
+   capacity planning.
 
 The records live in a :class:`~repro.dynamic.store.RecordStore` — the one
 plug point.  ``store="memory"`` keeps them on the heap, ``"shm"`` in
@@ -39,15 +39,15 @@ engine bound to a pre-built read-only index (the colstore's paged R-tree)
 rejects every update batch during validation.
 
 Concurrency follows one protocol: serialized updates beside lock-free reads.
-Cache reads take no engine lock (a cache locks only the stripe it touches)
-and the counters sit under a small stats lock.  Only the paths that traverse
-the R-tree — cold r-skyband filtering and the traditional k-skyband — run
-under the engine lock, which updates also hold while they mutate the data.
+Cache reads take no engine lock (each cache has its own) and the counters
+sit under a small stats lock.  Only the paths that traverse the R-tree —
+cold r-skyband filtering and the traditional k-skyband — run under the
+engine lock, which updates also hold while they mutate the data.
 One guard protects every cache write: a seqlock, ``_update_seq``, which an
 update makes odd before its first mutation and even again after its last
 cache sweep.  A query captures it before its first cache read and publishes
-each derived entry through :meth:`StripedCache.put_if`, which re-checks under
-the stripe lock that the value is still the same *even* number — so no
+each derived entry through :meth:`LRUCache.put_if`, which re-checks under
+the cache's lock that the value is still the same *even* number — so no
 update started or finished in between, and the entry was derived from
 current, fully swept state.  A query racing an update may still *serve* the
 pre-update answer (it was correct at some moment between its admission and
@@ -77,7 +77,7 @@ from repro.core.scoring import LinearScoring, ScoringFunction
 from repro.dynamic.engine import OP_DELETE, OP_INSERT
 from repro.dynamic.maintenance import KIND_NOOP, SkybandRepair, repair_delete, repair_insert
 from repro.dynamic.store import RecordStore
-from repro.engine.cache import StripedCache, region_contains, region_signature
+from repro.engine.cache import LRUCache, region_contains, region_signature
 from repro.exceptions import InvalidQueryError
 from repro.index.rtree import RTree
 from repro.kernels.dominance import dominators_mask
@@ -91,9 +91,6 @@ SOURCE_CONTAINMENT = "containment"
 SOURCE_SKYBAND_HIT = "skyband-hit"
 SOURCE_SKYBAND_CONTAINMENT = "skyband-containment"
 SOURCE_COLD = "cold"
-
-#: Cache names in the order :meth:`UTKEngine.stripe_epochs` reports them.
-CACHE_NAMES = ("skyband", "utk1", "utk2", "k_skyband")
 
 
 @dataclass
@@ -243,10 +240,6 @@ class UTKEngine:
         Directory of the colstore backend.  Defaults to a private temp
         directory that is removed on :meth:`close`; pass an explicit path to
         persist the store past the engine.
-    stripes:
-        Stripe count of each engine cache (see
-        :data:`~repro.engine.cache.DEFAULT_STRIPES` and the CONTRIBUTING
-        notes on tuning).
     tree:
         A pre-built index over the store's ids (the colstore's
         :class:`~repro.colstore.pages.PagedRTree`) instead of a bulk-loaded
@@ -271,7 +264,6 @@ class UTKEngine:
         parallel_min_candidates: int = 48,
         store: str | RecordStore = "memory",
         store_dir=None,
-        stripes: int = 1,
         tree=None,
     ):
         if parallel_workers < 0:
@@ -293,12 +285,10 @@ class UTKEngine:
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._update_seq = 0
-        self._stripes = int(stripes)
-        self._skybands = StripedCache(cache_size, stripes=self._stripes, name="skyband")
-        self._utk1_cache = StripedCache(cache_size, stripes=self._stripes, name="utk1")
-        self._utk2_cache = StripedCache(cache_size, stripes=self._stripes, name="utk2")
-        self._traditional_skybands = StripedCache(cache_size, stripes=self._stripes,
-                                                  name="k_skyband")
+        self._skybands = LRUCache(cache_size, name="skyband")
+        self._utk1_cache = LRUCache(cache_size, name="utk1")
+        self._utk2_cache = LRUCache(cache_size, name="utk2")
+        self._traditional_skybands = LRUCache(cache_size, name="k_skyband")
         self.stats = EngineStatistics()
         self.update_stats = UpdateStatistics()
         self.parallel_workers = int(parallel_workers)
@@ -503,7 +493,7 @@ class UTKEngine:
         with self._stats_lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _guarded_put(self, cache: StripedCache, key, value, seq: int) -> bool:
+    def _guarded_put(self, cache: LRUCache, key, value, seq: int) -> bool:
         """Publish a derived entry unless an update overlapped its derivation."""
         if seq & 1:  # captured mid-update: the inputs may be half-swept
             return False
@@ -534,7 +524,7 @@ class UTKEngine:
         return skyband, source
 
     def _find_containing(
-        self, cache: StripedCache, region: Region, k: int, *, allow_larger_k: bool = False
+        self, cache: LRUCache, region: Region, k: int, *, allow_larger_k: bool = False
     ):
         """Most recent cache entry whose region contains ``region``.
 
@@ -805,10 +795,9 @@ class UTKEngine:
     def _commit_skybands(self, outcomes: dict, batch: UpdateStatistics) -> None:
         """Swap repaired skybands into the cache and tally the outcome kinds.
 
-        The swap is in place (:meth:`StripedCache.replace`, which also
-        advances the stripe's epoch): maintenance must not record phantom
-        cache hits or promote repaired entries over genuinely
-        recently-queried ones in the recency order.
+        The swap is in place (:meth:`LRUCache.replace`): maintenance must
+        not record phantom cache hits or promote repaired entries over
+        genuinely recently-queried ones in the recency order.
         """
         for key, (entry, outcome) in outcomes.items():
             if outcome.changed:
@@ -875,14 +864,8 @@ class UTKEngine:
             "k_skyband": self._traditional_skybands.stats(),
         }
 
-    def stripe_epochs(self) -> dict[str, list[int]]:
-        """Per-cache, per-stripe epoch snapshot (for metrics export)."""
-        caches = (self._skybands, self._utk1_cache, self._utk2_cache,
-                  self._traditional_skybands)
-        return {name: cache.epochs() for name, cache in zip(CACHE_NAMES, caches)}
-
     def statistics(self) -> dict:
-        """Engine, cache, update-maintenance and stripe counters as one dict."""
+        """Engine, cache, update-maintenance and seqlock counters as one dict."""
         with self._stats_lock:
             engine = self.stats.as_dict()
             dynamic = self.update_stats.as_dict()
@@ -890,11 +873,7 @@ class UTKEngine:
             "engine": engine,
             **self.cache_stats(),
             "dynamic": dynamic,
-            "serve": {
-                "update_seq": self._update_seq,
-                "stripes": self._stripes,
-                "stripe_epochs": self.stripe_epochs(),
-            },
+            "serve": {"update_seq": self._update_seq},
         }
 
     def evict(self, *, region: Region | None = None, k: int | None = None,

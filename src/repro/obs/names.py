@@ -153,24 +153,15 @@ SERVE_INFLIGHT = REGISTRY.gauge(
     ("op",),
 )
 
-#: Time spent waiting for a contended stripe lock of a striped engine cache.
-#: Only contended acquisitions are recorded (the uncontended fast path costs
-#: one ``acquire``), so a quiet serve run legitimately exports zero samples.
+#: Time spent waiting for the contended lock of an engine cache
+#: (``perfbench`` reads the series by this name).  Only contended
+#: acquisitions are recorded (the uncontended fast path costs one
+#: ``acquire``), so a quiet serve run legitimately exports zero samples.
 STRIPE_LOCK_WAIT_SECONDS = REGISTRY.histogram(
     "repro_stripe_lock_wait_seconds",
-    "Contended stripe-lock wait of striped engine caches, by cache and stripe",
-    ("cache", "stripe"),
+    "Contended lock wait of the engine caches, by cache",
+    ("cache",),
     buckets=LATENCY_BUCKETS,
-)
-
-#: Current epoch of each cache stripe — the per-stripe successor of the
-#: engine-wide generation counter.  Exported by the serve front-end on every
-#: stats request and on drain, so snapshots show which region-hash classes
-#: an update stream actually touched.
-STRIPE_EPOCH = REGISTRY.gauge(
-    "repro_stripe_epoch",
-    "Current epoch of each striped-cache stripe",
-    ("cache", "stripe"),
 )
 
 # ------------------------------------------------------------- resilience

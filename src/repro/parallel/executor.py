@@ -60,7 +60,6 @@ def _run_tasks(
     *,
     workers: int,
     backend: str,
-    start_method: str | None,
     pool: ProcessPoolExecutor | None,
 ) -> list[ShardOutcome]:
     """Execute shard tasks on the requested backend, preserving task order."""
@@ -68,14 +67,7 @@ def _run_tasks(
         return [run_shard(task) for task in tasks]
     if pool is not None:
         return [future.result() for future in [pool.submit(run_shard, task) for task in tasks]]
-    mp_context = None
-    if start_method is not None:
-        import multiprocessing
-
-        mp_context = multiprocessing.get_context(start_method)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)), mp_context=mp_context
-    ) as fresh_pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as fresh_pool:
         return list(fresh_pool.map(run_shard, tasks))
 
 
@@ -91,7 +83,6 @@ def parallel_utk_query(
     tree: RTree | None = None,
     use_drill: bool = True,
     backend: str = "process",
-    start_method: str | None = None,
     pool: ProcessPoolExecutor | None = None,
 ) -> tuple[UTK1Result | None, UTK2Result | None]:
     """Answer a UTK query by region-partitioned parallel execution.
@@ -119,9 +110,6 @@ def parallel_utk_query(
         RSA drill optimization toggle, forwarded to the shard workers.
     backend:
         ``"process"`` (default) or ``"serial"`` (in-process fan-out).
-    start_method:
-        Optional multiprocessing start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default.
     pool:
         Optional existing :class:`~concurrent.futures.ProcessPoolExecutor`
         to submit to (not shut down afterwards); the engine shares one pool
@@ -184,9 +172,7 @@ def parallel_utk_query(
         ]
         _metric_names.PARALLEL_SHARDS.inc(len(tasks))
         with span("parallel.fanout", shards=len(tasks)) as phase:
-            outcomes = _run_tasks(
-                tasks, workers=workers, backend=backend, start_method=start_method, pool=pool
-            )
+            outcomes = _run_tasks(tasks, workers=workers, backend=backend, pool=pool)
         _observe_phase("parallel.fanout", phase)
         # Merged while ``parallel.query`` is the current span, so the shards'
         # serialized traces graft directly under the coordinator span.

@@ -20,7 +20,7 @@ backends and checkable against the SQL oracle:
   that changed an answer would show;
 * ``serve`` — the serving tier end to end: a
   :class:`~repro.serve.engine.ServeEngine` behind the asyncio JSONL socket
-  protocol, every event a real client round trip (striped caches, seqlock
+  protocol, every event a real client round trip (engine caches, seqlock
   cache guard and shared-memory store all on the hot path);
 * ``sql`` — the cold-dataset offload path: r-skyband candidate filtering is
   pushed down as window-function SQL (:mod:`repro.scenarios.sql`) and only
@@ -292,7 +292,7 @@ class ServeBackend:
     Each event is one JSONL round trip through a live
     :class:`~repro.serve.server.UTKServer` on a background thread; the
     oracle check therefore covers the whole serving stack — protocol,
-    striped caches, seqlock write guard, shared-memory record store —
+    engine caches, seqlock write guard, shared-memory record store —
     not just the engine.  (Concurrent-client staleness is the soak lane's
     job; here the oracle needs deterministic per-event answers.)
     """

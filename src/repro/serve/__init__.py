@@ -1,4 +1,4 @@
-"""The serving tier: shared-memory dataset, striped caches, socket front-end.
+"""The serving tier: an engine over shared memory behind a socket front-end.
 
 One process owns the dataset (a :class:`~repro.serve.engine.ServeEngine`
 over shared-memory record buffers, publishing a copy of its R-tree pages);
@@ -8,7 +8,6 @@ query and update clients over it.  See the README's "Serving" section for the
 protocol and knobs.
 """
 
-from repro.engine.cache import DEFAULT_STRIPES, StripedCache, stripe_index
 from repro.serve.engine import ServeEngine
 from repro.serve.shm import (
     AttachedSegment,
@@ -20,12 +19,9 @@ from repro.serve.shm import (
 
 __all__ = [
     "AttachedSegment",
-    "DEFAULT_STRIPES",
     "OwnedSegment",
     "ServeEngine",
     "SharedRecordStore",
-    "StripedCache",
     "attach_arrays",
     "pack_arrays",
-    "stripe_index",
 ]

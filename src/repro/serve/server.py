@@ -32,7 +32,7 @@ making client retries exactly-once even across a crash: a WAL'd-but-unacked
 update that recovery re-applied acks the retry with its original position.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, let
-in-flight requests finish, flush per-stripe epoch gauges, exit 0.
+in-flight requests finish, exit 0.
 """
 
 from __future__ import annotations
@@ -168,7 +168,6 @@ class UTKServer:
         await asyncio.get_running_loop().run_in_executor(None, self._shutdown_pools)
         if self._wal is not None:
             self._wal.sync()
-        self.flush_gauges()
 
     def _shutdown_pools(self) -> None:
         self._query_pool.shutdown(wait=True)
@@ -181,12 +180,6 @@ class UTKServer:
         if self._loop is None:
             return
         self._loop.call_soon_threadsafe(self._stop.set)
-
-    def flush_gauges(self) -> None:
-        """Publish the per-stripe epochs (contention state) as gauges."""
-        for cache, epochs in self._engine.stripe_epochs().items():
-            for index, epoch in enumerate(epochs):
-                _metric_names.STRIPE_EPOCH.set(epoch, cache=cache, stripe=str(index))
 
     # ------------------------------------------------------------ connection
     async def _handle_connection(self, reader, writer) -> None:
@@ -240,7 +233,6 @@ class UTKServer:
         if op == "ping":
             return {}
         if op == "stats":
-            self.flush_gauges()
             stats = await asyncio.get_running_loop().run_in_executor(
                 self._query_pool, self._engine.statistics
             )

@@ -202,7 +202,7 @@ class TestEngineAccounting:
                                "dynamic", "serve"}
         assert merged["engine"]["queries"] == 0
         assert merged["dynamic"]["updates_applied"] == 0
-        assert merged["serve"]["stripes"] == 1
+        assert merged["serve"] == {"update_seq": 0}
 
     def test_invalid_queries_rejected(self):
         engine = UTKEngine(random_dataset(7))

@@ -10,6 +10,7 @@ from repro.core.region import (
     simplex_region,
 )
 from repro.exceptions import InvalidRegionError
+from repro.geometry.linear_programming import chebyshev_center
 
 
 class TestHyperrectangle:
@@ -57,6 +58,32 @@ class TestHyperrectangle:
     def test_inradius_of_square(self):
         region = hyperrectangle([0.1, 0.1], [0.3, 0.3])
         assert region.inradius == pytest.approx(0.1, abs=1e-6)
+
+    def test_inscribed_ball_matches_the_chebyshev_lp(self):
+        # The LP optimum is the smallest half-width, and the box centre sits
+        # at least that deep.  On a non-cube box the LP's centre is not
+        # unique, so the centres are not compared.
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 4):
+            for _ in range(25):
+                lower = rng.uniform(0.0, 0.15, size=dim)
+                upper = lower + rng.uniform(1e-4, 0.08, size=dim)
+                region = hyperrectangle(lower, upper)
+                a, b = region.constraints
+                _centre, radius = chebyshev_center(a, b, dim=dim)
+                assert region.inradius == pytest.approx(radius, rel=1e-9)
+                depth = b - a @ region.interior_point
+                assert np.all(depth >= region.inradius * (1.0 - 1e-12))
+
+    def test_box_solves_no_lp(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("Chebyshev LP solved")
+
+        monkeypatch.setattr("repro.core.region.chebyshev_center", refuse)
+        region = hyperrectangle([0.1, 0.2], [0.3, 0.25])
+        assert region.inradius == pytest.approx(0.025)
+        with pytest.raises(AssertionError, match="Chebyshev LP solved"):
+            Region(*region.constraints)  # every other constructor solves it
 
     def test_sample_points_inside(self):
         region = hyperrectangle([0.05, 0.05], [0.45, 0.25])

@@ -106,7 +106,7 @@ def data():
 
 @pytest.fixture
 def served(data):
-    engine = ServeEngine(data, stripes=4)
+    engine = ServeEngine(data)
     thread = ServerThread(engine, query_threads=2)
     host, port = thread.start()
     yield host, port, engine
@@ -120,7 +120,7 @@ def _dispatch(server: UTKServer, payload: dict) -> dict:
 
 class TestErrorCodes:
     def test_bad_request_family(self, data):
-        engine = ServeEngine(data, stripes=2)
+        engine = ServeEngine(data)
         server = UTKServer(engine, query_threads=1)
         try:
             assert _dispatch(server, {"op": "frobnicate"})["code"] == "bad_request"
@@ -133,7 +133,7 @@ class TestErrorCodes:
             engine.close()
 
     def test_overloaded_carries_retry_after(self, data):
-        engine = ServeEngine(data, stripes=2)
+        engine = ServeEngine(data)
         server = UTKServer(engine, query_threads=1, max_inflight=1)
         try:
             server._inflight_queries = 1  # saturate admission
@@ -148,7 +148,7 @@ class TestErrorCodes:
             engine.close()
 
     def test_shutting_down_refuses_new_work_but_answers_pings(self, data):
-        engine = ServeEngine(data, stripes=2)
+        engine = ServeEngine(data)
         server = UTKServer(engine, query_threads=1)
         try:
             server._stop.set()

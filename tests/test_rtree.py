@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidDatasetError
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, _quadratic_split
 
 common_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -33,6 +33,14 @@ def walk(tree: RTree):
         yield page, is_leaf, ids, corners, is_root
         if not is_leaf:
             stack.extend((child, False) for child in ids)
+
+
+def structure(tree: RTree) -> list[tuple]:
+    """``(page, is_leaf, ids, lower, upper)`` of every reachable node, in
+    :func:`walk` order: the dump two trees must share to be the same tree."""
+    pages = tree.pages
+    return [(page, is_leaf, ids, pages["lower"][page].tolist(), pages["upper"][page].tolist())
+            for page, is_leaf, ids, _, _ in walk(tree)]
 
 
 def leaf_ids(tree: RTree) -> list[int]:
@@ -151,6 +159,20 @@ class TestInsertion:
         tree.insert(8, points[8])
         assert [tree.read_node(leaf)[1] for leaf in leaves] == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
 
+    def test_split_seeds_are_the_first_most_wasteful_pair(self):
+        # Points 0-1 and 2-3 are opposite corners of the same unit square, so
+        # both pairs waste its whole area; the first pair in row-major order
+        # seeds the two groups.
+        points = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+        assert _quadratic_split(points, points, 2) == ([0, 2], [1, 3])
+
+    def test_split_tie_joins_the_smaller_group(self):
+        # Seeds 0 and 1; 2 joins seed 0.  Point 3 then enlarges either group's
+        # box by 25: it must go to the smaller group, seed 1's.
+        points = np.array([(0.0, 0.0), (10.0, 10.0), (0.0, 1.0),
+                           (5.0, 5.0), (1.0, 0.0), (10.0, 9.0)])
+        assert _quadratic_split(points, points, 2) == ([0, 2, 4], [1, 3, 5])
+
     def test_insert_dimension_mismatch(self):
         tree = RTree(np.random.default_rng(0).random((10, 2)))
         with pytest.raises(InvalidDatasetError):
@@ -213,6 +235,23 @@ class TestDelete:
         assert_invariants(tree, {})
         tree.insert(7, points[7])  # the empty tree accepts new records again
         assert leaf_ids(tree) == [7]
+
+    def test_condense_reinserts_orphans_in_depth_first_order(self):
+        # Deleting 2 leaves its leaf [4, 2, 5] below min_entries=3: the leaf
+        # is dissolved and 4, then 5, re-inserted.  4 joins the first leaf;
+        # 5 overflows the last one, whose split takes the freed page 2 back.
+        points = np.array([(i / 10, (i % 3) / 10) for i in range(11)])
+        tree = RTree(points, max_entries=5, min_entries=3)
+        assert [ids for _, _, ids, _, _ in structure(tree)] == [
+            [1, 2, 3], [6, 7, 8, 9, 10], [4, 2, 5], [0, 3, 1]]
+        tree.delete(2, points[2])
+        assert structure(tree) == [
+            (0, False, [1, 3, 2], [0.0, 0.0], [1.0, 0.2]),
+            (2, True, [5, 7, 8], [0.5, 0.1], [0.8, 0.2]),
+            (3, True, [9, 6, 10], [0.6, 0.0], [1.0, 0.1]),
+            (1, True, [0, 3, 1, 4], [0.0, 0.0], [0.4, 0.1]),
+        ]
+        assert_invariants(tree, {i: points[i] for i in range(11) if i != 2})
 
 
 class TestInvariantProperties:

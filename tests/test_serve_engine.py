@@ -1,8 +1,8 @@
-"""The serving tier's engine: stores and stripes must not change an answer.
+"""The serving tier's engine: stores must not change an answer.
 
 Equivalence suite for :class:`~repro.engine.engine.UTKEngine` across its
-record stores (memory, shm, colstore) and the serving tier's striped
-defaults (:class:`~repro.serve.engine.ServeEngine`): identical answers on a
+record stores (memory, shm, colstore) and the serving tier's defaults
+(:class:`~repro.serve.engine.ServeEngine`): identical answers on a
 churn stream, identical traversals of attached tree pages, identical worker answers
 through the shared-memory descriptor, and the seqlock write-guard semantics
 (odd sequence and overlapping updates both veto a cache publish) over every
@@ -20,8 +20,6 @@ from repro.core.rskyband import compute_r_skyband
 from repro.datasets.synthetic import synthetic_dataset, update_stream
 from repro.dynamic.engine import serve_events
 from repro.engine import UTKEngine
-from repro.engine.cache import StripedCache
-from repro.engine.engine import CACHE_NAMES
 from repro.index.rtree import RTree
 from repro.serve.engine import ServeEngine
 from repro.serve.shm import attach_arrays, pack_arrays
@@ -55,7 +53,7 @@ class TestChurnEquivalence:
     @pytest.mark.parametrize("store", STORES)
     def test_serve_events_match_across_stores(self, data, stream, store):
         dynamic = UTKEngine(data)
-        serving = ServeEngine(data, stripes=4, store=store)
+        serving = ServeEngine(data, store=store)
         try:
             expected = serve_events(dynamic, stream)
             actual = serve_events(serving, stream)
@@ -71,23 +69,10 @@ class TestChurnEquivalence:
             serving.close()
             dynamic.close()
 
-    def test_caches_are_striped(self, data):
-        engine = ServeEngine(data, stripes=4)
-        try:
-            assert isinstance(engine._utk1_cache, StripedCache)
-            assert isinstance(engine._skybands, StripedCache)
-            epochs = engine.stripe_epochs()
-            assert set(epochs) == set(CACHE_NAMES)
-            assert all(len(values) == 4 for values in epochs.values())
-        finally:
-            engine.close()
-
     def test_statistics_carry_serve_section(self, data):
-        engine = ServeEngine(data, stripes=4)
+        engine = ServeEngine(data)
         try:
-            stats = engine.statistics()
-            assert stats["serve"]["stripes"] == 4
-            assert stats["serve"]["update_seq"] == 0
+            assert engine.statistics()["serve"] == {"update_seq": 0}
             engine.apply_updates([{"op": "insert", "values": [5.0, 5.0, 5.0]}])
             assert engine.statistics()["serve"]["update_seq"] == 2
         finally:
@@ -238,7 +223,7 @@ class TestSeqlockGuard:
     def test_update_never_poisons_warm_answers(self):
         """Interleaved queries and updates still match a serial engine."""
         data = Dataset(np.random.default_rng(11).uniform(0, 10, size=(70, 3)))
-        serving = ServeEngine(data, stripes=4)
+        serving = ServeEngine(data)
         reference = UTKEngine(data)
         region = hyperrectangle([0.15, 0.15], [0.35, 0.35])
         try:

@@ -30,7 +30,7 @@ def data():
 
 @pytest.fixture
 def served(data):
-    engine = ServeEngine(data, stripes=4)
+    engine = ServeEngine(data)
     thread = ServerThread(engine, query_threads=2)
     host, port = thread.start()
     yield host, port, engine
@@ -99,7 +99,7 @@ class TestProtocol:
             stream.flush()
             assert json.loads(stream.readline())["ok"] is True
 
-    def test_stats_reports_server_and_stripe_state(self, served):
+    def test_stats_reports_server_and_cache_state(self, served):
         host, port, _engine = served
         with ServeClient(host, port) as client:
             client.query([0.1, 0.1], [0.3, 0.3], 2)
@@ -107,13 +107,14 @@ class TestProtocol:
             stats = client.stats()
         assert stats["server"]["updates_finished"] == 1
         assert stats["server"]["requests_served"] >= 2
-        assert stats["serve"]["update_seq"] == 2
-        assert len(stats["serve"]["stripe_epochs"]["skyband"]) == 4
+        assert stats["serve"] == {"update_seq": 2}
+        assert stats["skyband"]["size"] == 1
+        assert stats["skyband"]["maxsize"] == 128
 
 
 class TestDrain:
     def test_shutdown_op_drains_gracefully(self, data):
-        engine = ServeEngine(data, stripes=4)
+        engine = ServeEngine(data)
         thread = ServerThread(engine, query_threads=2)
         host, port = thread.start()
         try:
@@ -129,7 +130,7 @@ class TestDrain:
 
 class TestMiniSoak:
     def test_concurrent_load_has_zero_stale_answers(self, data):
-        engine = ServeEngine(data, stripes=4)
+        engine = ServeEngine(data)
         thread = ServerThread(engine, query_threads=3)
         host, port = thread.start()
         try:
@@ -159,7 +160,7 @@ class TestMiniSoak:
 class TestSharedWorkers:
     def test_shared_worker_answers_match_serial_replay(self, data):
         """The zero-copy pool path: updates repack, queries never go stale."""
-        engine = ServeEngine(data, stripes=4)
+        engine = ServeEngine(data)
         thread = ServerThread(engine, query_threads=2, shared_workers=1)
         host, port = thread.start()
         try:
